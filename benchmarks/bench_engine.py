@@ -39,15 +39,17 @@ import numpy as np
 
 from repro.analysis.report import banner, format_table
 from repro.sim.kernels import BACKEND as KERNEL_BACKEND
-from repro.sim.kernels import HAVE_NUMBA
+from repro.sim.kernels import HAVE_NUMBA, prepare_replay_native
 from repro.sim.simulator import (
     Stage1Cache,
     make_size_lookup,
-    replay_walks,
+    replay_walks_scalar,
     tlb_accept_rates,
     tlb_filter,
+    tlb_filter_scalar,
 )
 from repro.sim.sweep import build_sim, run_design_stats, run_sweep
+from repro.sim.walk_vec import replay_walks_vec
 from repro.sim import NativeSimulation, SimConfig
 
 from conftest import SCALE
@@ -103,12 +105,12 @@ def test_stage1_vectorized_speedup(benchmark):
     sim, trace, accept, machine = _stage1_inputs()
     page_table = sim.process.page_table
 
-    scalar_seconds, scalar_result = _best_of(3, lambda: tlb_filter(
+    scalar_seconds, scalar_result = _best_of(3, lambda: tlb_filter_scalar(
         trace, machine, make_size_lookup(page_table),
-        accept_rates=accept, engine="scalar"))
+        accept_rates=accept))
     vec_seconds, vec_result = _best_of(3, lambda: tlb_filter(
         trace, machine, make_size_lookup(page_table),
-        accept_rates=accept, engine="vec"))
+        accept_rates=accept))
     speedup = scalar_seconds / vec_seconds
 
     print(banner(f"Stage-1 engine: GUPS native, nrefs={NREFS}"))
@@ -165,6 +167,16 @@ VEC_FLOORS = {
 NATIVE_FLOORS = {design: (10.0 if design == "vanilla" else 3.0)
                  for design in VEC_FLOORS}
 
+#: Each stage-2 engine, called directly: the bench times engines side
+#: by side, which the stage-2 dispatch (one engine per process) never
+#: does.
+ENGINE_REPLAYS = {
+    "scalar": replay_walks_scalar,
+    "vec": replay_walks_vec,
+    "native": lambda walker, miss_vas: prepare_replay_native(
+        walker, miss_vas).execute(),
+}
+
 
 def test_stage2_vectorized_speedup(benchmark):
     """Batched walk replay vs the scalar oracle on the GUPS miss stream.
@@ -192,8 +204,7 @@ def test_stage2_vectorized_speedup(benchmark):
                 sim = build_sim(env, "GUPS", config, stage1=stage1)
                 walker = sim.walker(design)
                 start = time.perf_counter()
-                result = replay_walks(walker, sim.tlb.miss_vas,
-                                      engine=engine)
+                result = ENGINE_REPLAYS[engine](walker, sim.tlb.miss_vas)
                 seconds[engine].append(time.perf_counter() - start)
                 stats[engine] = result
         best = {engine: min(times) for engine, times in seconds.items()}
@@ -270,8 +281,7 @@ def test_stage2_vectorized_speedup(benchmark):
 
     sim = NativeSimulation("GUPS", config, stage1=stage1)
     benchmark.pedantic(
-        lambda: replay_walks(sim.walker("dmt"), sim.tlb.miss_vas,
-                             engine="vec"),
+        lambda: replay_walks_vec(sim.walker("dmt"), sim.tlb.miss_vas),
         rounds=3, iterations=1,
     )
 

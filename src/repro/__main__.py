@@ -6,7 +6,6 @@ Examples::
     python -m repro run --workload GUPS --env virt --designs vanilla,pvdmt
     python -m repro run --workload Redis --env native --thp --nrefs 40000
     python -m repro run --workload GUPS --env native --levels 5
-    python -m repro run --workload GUPS --env virt --walk-engine scalar
     python -m repro sweep --env native --workers 4
     python -m repro sweep --env native,virt --pages both --out sweep.json
     python -m repro sweep --env native --trace trace.jsonl
@@ -60,7 +59,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     config = SimConfig(scale=args.scale, nrefs=args.nrefs, seed=args.seed,
                        thp=args.thp, levels=args.levels,
                        register_count=args.register_count,
-                       engine=args.engine, walk_engine=args.walk_engine,
                        sanitize=args.sanitize,
                        stream_chunk=args.stream_chunk)
     stage1 = None
@@ -88,17 +86,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
                   file=sys.stderr)
             return 2
 
-        try:
-            from repro.sim.sweep import run_design_stats
+        from repro.sim.sweep import run_design_stats
 
-            stats = run_design_stats(sim, designs,
-                                     cell_threads=args.cell_threads)
-            vanilla = stats.get("vanilla") or sim.run("vanilla")
-        except ValueError as error:
-            # e.g. --walk-engine vec forced onto a design with no batched
-            # path; restrict --designs or use auto/scalar.
-            print(f"error: {error}", file=sys.stderr)
-            return 2
+        stats = run_design_stats(sim, designs,
+                                 cell_threads=args.cell_threads)
+        vanilla = stats.get("vanilla") or sim.run("vanilla")
         rows = []
         for design, st in stats.items():
             row = [design, st.mean_latency,
@@ -145,8 +137,7 @@ def _config_kwargs(args: argparse.Namespace) -> dict:
     """The SimConfig kwargs shared by sweep and jobs submit."""
     return dict(scale=args.scale, nrefs=args.nrefs, seed=args.seed,
                 levels=args.levels, register_count=args.register_count,
-                walk_engine=args.walk_engine, sanitize=args.sanitize,
-                stream_chunk=args.stream_chunk)
+                sanitize=args.sanitize, stream_chunk=args.stream_chunk)
 
 
 def _print_sweep_summary(document: dict, args: argparse.Namespace,
@@ -204,8 +195,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             cell_threads=args.cell_threads,
             **_config_kwargs(args),
         )
-    except KeyError as error:
-        # unknown design: no swept environment provides it
+    except (KeyError, ValueError) as error:
+        # unknown design (no swept environment provides it), or a
+        # --resume job whose journaled config no shard can build
         print(f"error: {error.args[0] if error.args else error}",
               file=sys.stderr)
         return 2
@@ -221,7 +213,7 @@ def _cmd_jobs(args: argparse.Namespace) -> int:
             spec = jobs.JobSpec.build(envs=envs, workloads=workloads,
                                       designs=designs, thp_modes=thp_modes,
                                       **_config_kwargs(args))
-        except KeyError as error:
+        except (KeyError, ValueError) as error:
             print(f"error: {error.args[0] if error.args else error}",
                   file=sys.stderr)
             return 2
@@ -252,7 +244,7 @@ def _cmd_jobs(args: argparse.Namespace) -> int:
                 cell_threads=args.cell_threads,
                 artifact_dir=None if args.no_artifact_cache
                 else (args.artifact_cache or ".repro-artifacts"))
-        except FileNotFoundError as error:
+        except (FileNotFoundError, ValueError) as error:
             print(f"error: {error}", file=sys.stderr)
             return 2
         job = document["meta"]["job"]
@@ -325,17 +317,6 @@ def main(argv=None) -> int:
                               "extension; default 4)")
     simopts.add_argument("--register-count", type=int, default=16,
                          help="DMT registers per set (default 16, Fig. 13)")
-    simopts.add_argument("--walk-engine",
-                         choices=("auto", "native", "vec", "scalar"),
-                         default="auto",
-                         help="stage-2 replay engine: 'native' runs the "
-                              "compiled chunk kernels (pure-Python "
-                              "fallback without numba, recorded in "
-                              "WalkStats.fallback_reason), 'vec' batches "
-                              "walks per design, 'scalar' is the "
-                              "reference oracle, 'auto' picks native "
-                              "when compiled, else vec, when the design "
-                              "supports it (default)")
     simopts.add_argument("--stream-chunk", type=int, default=None,
                          metavar="REFS",
                          help="stream stage 0->1 in chunks of this many "
@@ -367,9 +348,6 @@ def main(argv=None) -> int:
                      help="comma-separated subset (default: all)")
     run.add_argument("--thp", action="store_true",
                      help="transparent huge pages in every layer")
-    run.add_argument("--engine", choices=("vec", "scalar"), default="vec",
-                     help="stage-1 TLB-filter engine (scalar = reference "
-                          "oracle)")
     run.add_argument("--cell-threads", type=int, default=1,
                      help="replay this many designs on concurrent threads "
                           "(nogil native kernels; default: 1)")

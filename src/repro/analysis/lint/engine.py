@@ -411,9 +411,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--rules", default="",
                         help="comma-separated rule families or ids "
                              "(e.g. L1,L5 or L103); default: all")
-    parser.add_argument("--json", action="store_true",
-                        help="emit findings as one indented JSON array "
-                             "(legacy; see --format json for JSON lines)")
     parser.add_argument("--format", dest="format",
                         choices=("text", "json", "github"), default="text",
                         help="output format: 'text' (default), 'json' (one "
@@ -437,9 +434,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         tests_dir=Path(args.tests_dir) if args.tests_dir else None,
     )
     violations = lint_paths(paths, config)
-    if args.json:
-        print(json.dumps([v.as_dict() for v in violations], indent=2))
-    elif args.format == "json":
+    if args.format == "json":
         for violation in violations:
             print(json.dumps(violation.as_dict(), sort_keys=True))
     else:

@@ -89,6 +89,9 @@ class JobScheduler:
                  cell_threads: Optional[int] = None,
                  progress: Optional[Callable[[str], None]] = None,
                  run_fn: Optional[Callable] = None):
+        # A config no shard can build refuses the job before the
+        # journal is touched.
+        spec.check_config()
         self.spec = spec
         self.job_dir = job_dir
         self.workers = workers if workers is not None \

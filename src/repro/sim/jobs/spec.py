@@ -15,7 +15,7 @@ stores the canonical form verbatim, so a resume reconstructs the exact
 grid without trusting the caller's CLI flags.
 
 A spec expands into :class:`Shard`\\ s — one per (workload, page-size)
-pair, exactly the :data:`~repro.sim.sweep.GroupTask` granularity of the
+pair, exactly the :class:`~repro.sim.sweep.GroupTask` granularity of the
 one-shot sweep runner — so journal records, retries, and resume all
 operate on the unit the worker pool already executes.
 """
@@ -24,9 +24,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro.sim.machine import SimConfig
 from repro.sim.sweep import ALL_WORKLOADS, GroupTask, validate_grid
 
 #: Bumped whenever the canonical form (and thus every job_id) changes.
@@ -64,17 +65,37 @@ class JobSpec:
         """Normalize ``run_sweep``-style arguments into a spec.
 
         Validates the grid the same way :func:`~repro.sim.sweep.run_sweep`
-        does (:class:`KeyError` on unknown environments/designs), so a
-        bad grid fails at submit time, not in a worker.
+        does (:class:`KeyError` on unknown environments/designs) and the
+        config with :meth:`check_config`, so a bad job fails at submit
+        time, not in a worker.
         """
         validate_grid(envs, designs)
-        return cls(
+        spec = cls(
             envs=tuple(envs),
             workloads=tuple(workloads or ALL_WORKLOADS),
             designs=tuple(designs) if designs else None,
             thp_modes=tuple(bool(t) for t in thp_modes),
             config=dict(config_kwargs),
         )
+        spec.check_config()
+        return spec
+
+    def check_config(self) -> None:
+        """Build the :class:`SimConfig` every shard would build.
+
+        Raises :class:`ValueError` naming the offending key when the
+        config holds a key ``SimConfig`` does not take (for example a
+        setting a later version removed) or a value it rejects. Run
+        before any shard, so a bad config refuses the whole job instead
+        of journaling every shard as error cells.
+        """
+        known = {f.name for f in fields(SimConfig)} - {"thp"}
+        unknown = sorted(set(self.config) - known)
+        if unknown:
+            raise ValueError(
+                f"job config has unknown SimConfig key(s) "
+                f"{', '.join(map(repr, unknown))}")
+        SimConfig(**self.config)
 
     def canonical(self) -> Dict:
         """JSON-ready form with a stable key order; hashed for job_id."""
@@ -113,13 +134,15 @@ class JobSpec:
     def task(self, shard: Shard, trace_path: Optional[str] = None,
              artifact_dir: Optional[str] = None,
              cell_threads: int = 1) -> GroupTask:
-        """The picklable :data:`GroupTask` tuple for one shard.
+        """The picklable :class:`GroupTask` for one shard.
 
         ``cell_threads`` is a runtime knob (like ``trace_path``): it
         changes how fast a shard replays, never what it computes, so it
         is deliberately absent from :meth:`canonical` and ``job_id`` —
         a resumed job may use a different thread count.
         """
-        return (self.envs, shard.workload, shard.thp, self.designs,
-                dict(self.config), trace_path, artifact_dir,
-                max(1, int(cell_threads or 1)))
+        return GroupTask(envs=self.envs, workload=shard.workload,
+                         thp=shard.thp, designs=self.designs,
+                         config=dict(self.config), trace_path=trace_path,
+                         artifact_dir=artifact_dir,
+                         cell_threads=max(1, int(cell_threads or 1)))

@@ -11,11 +11,15 @@ is bit-identical by construction (:mod:`repro.sim.kernels.backend`).
 Compiled kernels are ``nogil``, so the sweep's two-level executor can
 replay independent cells on concurrent threads (DESIGN.md §15).
 
-Entry point: :func:`repro.sim.kernels.replay.replay_walks_native`,
-reached through ``replay_walks(..., engine="native")`` or
-``--walk-engine native``; :func:`~repro.sim.kernels.replay.prepare_replay_native`
-is its sequential-prepare half for threaded execution. DESIGN.md §11
-documents the architecture and the array-view writeback contract.
+Entry point: :func:`~repro.sim.kernels.replay.prepare_replay_native`
+plans a cell on the calling thread and returns a
+:class:`~repro.sim.kernels.replay.PreparedReplay` whose ``execute()``
+drives the kernels. The stage-2 dispatch
+(:func:`repro.sim.simulator.prepare_replay`) uses it only when the
+compiled backend loaded (``HAVE_NUMBA``) and no step collection is
+asked for; without Numba the uncompiled kernels run only when tests
+call them directly, as the parity oracle for kernel logic. DESIGN.md
+§11 documents the architecture and the array-view writeback contract.
 """
 
 from repro.sim.kernels.backend import (  # noqa: F401
@@ -27,5 +31,4 @@ from repro.sim.kernels.backend import (  # noqa: F401
 from repro.sim.kernels.replay import (  # noqa: F401
     PreparedReplay,
     prepare_replay_native,
-    replay_walks_native,
 )

@@ -1,8 +1,10 @@
 """The native kernel engine's entry point and plan/state flattening.
 
-``replay_walks_native`` is the third stage-2 engine, beside the scalar
-oracle and the batched (vec) engine. It reuses the vec engine's
-planners verbatim — same unique-VPN first-occurrence order, same lazy
+:func:`prepare_replay_native` is the third stage-2 engine, beside the
+scalar oracle and the batched (vec) engine; the stage-2 dispatch
+(:func:`repro.sim.simulator.prepare_replay`) picks it when the compiled
+backend loaded and no step collection is asked for. It reuses the vec
+engine's planners verbatim — same unique-VPN first-occurrence order, same lazy
 first-touch side effects — then flattens the plans into int64 arrays
 and replays the history-dependent state (cache LRU sets, PWC tables,
 credit counters, the ECPT cuckoo-walk cache) inside the compiled chunk
@@ -12,16 +14,13 @@ kernels of :mod:`repro.sim.kernels.radix` /
 Bit-identity contract: identical ``WalkStats`` and identical
 post-replay cache/PWC/CWC/walker state versus the scalar oracle, on
 both backends (``tests/test_walk_vec.py`` parametrizes the parity
-suite over the vec and native engines; the no-numba CI leg pins the
-pure-Python backend).
+suite over the vec and native engines, calling this module directly,
+so the uncompiled kernels stay the parity oracle for kernel logic; the
+no-numba CI leg pins the pure-Python backend). The kernels carry no
+step tags, so step collection always runs on vec.
 
-Step collection (``collect_steps`` with ``record_refs``) delegates to
-the interpreted vec runners — the kernels carry no tag strings — and
-records :data:`STEP_COLLECTION_REASON` so profiling runs are visibly
-not kernel-timed.
-
-**Two-phase split (thread-safety contract).** The entry point is
-factored into :func:`prepare_replay_native` — every GIL-bound,
+**Two-phase split (thread-safety contract).** The engine is split
+into :func:`prepare_replay_native` — every GIL-bound,
 order-dependent step: vec planning with its lazy first-touch side
 effects (shadow-table extension, frame allocation, and therefore cache
 set indices), plan flattening, and the per-cell ``array_view()`` state
@@ -58,14 +57,6 @@ from repro.sim.kernels.designs import (
 )
 from repro.sim.kernels.radix import radix_native_chunk, radix_nested_chunk
 from repro.translation.base import MemorySubsystem, Walker
-
-#: Recorded as ``WalkStats.fallback_reason`` when ``engine="native"``
-#: is asked to collect per-step latency tags.
-STEP_COLLECTION_REASON = (
-    "step collection runs on the interpreted vec runners "
-    "(native kernels carry no step tags)"
-)
-
 
 def _ia(seq) -> np.ndarray:
     return np.asarray(seq, dtype=np.int64)
@@ -441,42 +432,6 @@ class PreparedReplay:
         return stats
 
 
-def replay_walks_native(
-    walker: Walker,
-    miss_vas,
-    warmup_fraction: float = 0.1,
-    collect_steps: bool = False,
-    chunk: int = walk_vec.DEFAULT_CHUNK,
-):
-    """Native-kernel stage 2: replay a miss stream, bit-identical to scalar.
-
-    Oracle: :func:`repro.sim.simulator.replay_walks` with
-    ``engine="scalar"`` — same ``WalkStats`` (cycles, refs, fallbacks),
-    same post-replay cache/PWC/CWC/walker state; the vec engine's
-    planners supply the address streams, the compiled kernels replay
-    the state machine. ``chunk`` is accepted for signature parity with
-    :func:`~repro.sim.walk_vec.replay_walks_vec`; kernels process whole
-    warmup/measured ranges (their counters live in arrays, nothing
-    needs a per-chunk flush). Raises ``ValueError`` for unsupported
-    walkers, exactly like the vec engine.
-    """
-    memsys: MemorySubsystem = walker.memsys
-    if collect_steps and memsys.record_refs:
-        reason = walk_vec.unsupported_reason(walker)
-        if reason is not None:
-            raise ValueError(
-                f"walker {walker.name!r} has no batched replay path: "
-                f"{reason} (use the scalar engine)")
-        stats = walk_vec.replay_walks_vec(
-            walker, miss_vas, warmup_fraction=warmup_fraction,
-            collect_steps=True, chunk=chunk)
-        stats.engine = "native"
-        stats.fallback_reason = STEP_COLLECTION_REASON
-        return stats
-    return prepare_replay_native(
-        walker, miss_vas, warmup_fraction=warmup_fraction).execute()
-
-
 def prepare_replay_native(
     walker: Walker,
     miss_vas,
@@ -492,8 +447,8 @@ def prepare_replay_native(
     ``ValueError`` for unsupported walkers, exactly like the vec
     engine.
 
-    Oracle: :func:`repro.sim.simulator.replay_walks` with
-    ``engine="scalar"`` — ``prepare().execute()`` must return
+    Oracle: :func:`repro.sim.simulator.replay_walks_scalar` —
+    ``prepare_replay_native(...).execute()`` must return
     bit-identical :class:`WalkStats` and leave identical cache/PWC/
     design state, on any thread.
     """

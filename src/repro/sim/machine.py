@@ -116,26 +116,14 @@ class SimConfig:
     #: this, the fixed-reach MMU caches cover the entire scaled-down
     #: working set and every design collapses to one memory reference.
     scale_mmu_caches: bool = True
-    #: Stage-1 TLB-filter engine: "vec" (batched NumPy, default) or
-    #: "scalar" (the dict-backed reference oracle). Both are
-    #: bit-identical; the oracle exists for equivalence testing.
-    engine: str = "vec"
-    #: Stage-2 replay engine: "auto" (native kernels when the compiled
-    #: backend and the design support them, else batched
-    #: :mod:`repro.sim.walk_vec` when supported, scalar otherwise — the
-    #: default), "native" (:mod:`repro.sim.kernels` chunk kernels,
-    #: erroring on unsupported designs), "vec" (batched, same erroring),
-    #: or "scalar" (the per-walk reference oracle). All paths are
-    #: bit-identical on supported designs.
-    walk_engine: str = "auto"
     #: Enable the runtime translation sanitizer
     #: (:mod:`repro.analysis.sanitizer`) for this run.
     sanitize: bool = False
     #: Stage-0→1 streaming chunk size in references. ``None`` (default)
     #: picks automatically: stream at :data:`DEFAULT_STREAM_CHUNK` when
-    #: ``nrefs`` reaches :data:`STREAM_NREFS_THRESHOLD` (vec engine
-    #: only), monolithic below it. A positive value forces streaming at
-    #: that chunk size; ``0`` forces the monolithic path. Streaming is
+    #: ``nrefs`` reaches :data:`STREAM_NREFS_THRESHOLD`, monolithic below
+    #: it. A positive value forces streaming at that chunk size; ``0``
+    #: forces the monolithic path. Streaming is
     #: bit-identical to monolithic (DESIGN.md §13), so the knob trades
     #: memory against per-chunk overhead, never results.
     stream_chunk: Optional[int] = None
@@ -153,23 +141,10 @@ class SimConfig:
             raise ValueError(
                 f"levels={self.levels}: x86-64 radix trees are 4- or 5-level"
             )
-        if self.engine not in ("vec", "scalar"):
-            raise ValueError(
-                f"engine={self.engine!r}: expected 'vec' or 'scalar'"
-            )
-        if self.walk_engine not in ("auto", "native", "vec", "scalar"):
-            raise ValueError(
-                f"walk_engine={self.walk_engine!r}: expected 'auto', "
-                f"'native', 'vec' or 'scalar'"
-            )
         if self.stream_chunk is not None and self.stream_chunk < 0:
             raise ValueError(
                 f"stream_chunk={self.stream_chunk} must be None, 0 (off), "
                 f"or a positive chunk size")
-        if self.stream_chunk and self.engine != "vec":
-            raise ValueError(
-                "stream_chunk requires engine='vec': the scalar stage-1 "
-                "oracle has no chunk-carrying state machine")
         if self.scale < 1:
             raise ValueError(f"scale={self.scale} must be >= 1")
         if self.nrefs < 1:
@@ -202,7 +177,7 @@ class SimConfig:
             return None
         if self.stream_chunk:
             return self.stream_chunk
-        if self.nrefs >= STREAM_NREFS_THRESHOLD and self.engine == "vec":
+        if self.nrefs >= STREAM_NREFS_THRESHOLD:
             return DEFAULT_STREAM_CHUNK
         return None
 
@@ -288,35 +263,29 @@ def _stage2_state(walker: Walker) -> Dict:
 
 
 class PreparedCell:
-    """One (design) cell split for the two-level sweep executor.
+    """One design's cell, split into prepare, execute and commit.
 
     ``prepare_run`` consults the per-design memo and the stage-2 result
     cache and, on a miss, runs every order-dependent step (walker
-    build, vec planning, state checkout) on the calling thread. What
-    remains is: ``execute()`` — the replay itself, safe on a worker
-    thread iff ``threadable`` — and ``commit(stats)``, which must run
-    back on the preparing thread (it writes the memo and the result
-    cache, and artifact I/O opens trace spans that are process-global).
+    build, and for a threadable engine its planning and state checkout)
+    on the calling thread. What remains is ``execute()`` — the replay
+    itself, safe on a worker thread iff ``threadable`` — and
+    ``commit(stats)``, which must run back on the preparing thread (it
+    writes the memo and the result cache, and artifact I/O opens trace
+    spans that are process-global). A memo or result-cache hit arrives
+    with its stats in hand: ``execute`` returns them and ``commit`` is a
+    no-op.
     """
 
-    def __init__(self, design: str, stats: Optional[WalkStats] = None,
+    def __init__(self, stats: Optional[WalkStats] = None,
                  execute: Optional[Callable[[], WalkStats]] = None,
                  commit: Optional[Callable[[WalkStats], WalkStats]] = None,
-                 walker: Optional[Walker] = None, threadable: bool = False,
-                 source: str = "computed"):
-        self.design = design
+                 walker: Optional[Walker] = None, threadable: bool = False):
         self.stats = stats
         self.walker = walker
         self.threadable = threadable
-        #: Where the cell came from: "computed", "memo", or "disk".
-        self.source = source
         self._execute = execute
         self._commit = commit
-
-    @property
-    def ready(self) -> bool:
-        """Stats already in hand (memo or result-cache hit)?"""
-        return self.stats is not None
 
     def execute(self) -> WalkStats:
         """Replay the cell; thread-safe only when ``threadable``."""
@@ -326,10 +295,9 @@ class PreparedCell:
 
     def commit(self, stats: WalkStats) -> WalkStats:
         """Finalize on the preparing thread: memo + result-cache store."""
-        if self.stats is None and self._commit is not None:
-            stats = self._commit(stats)
-        self.stats = stats
-        return stats
+        if self.stats is None:
+            self.stats = self._commit(stats)
+        return self.stats
 
 
 class _SimulationBase:
@@ -384,63 +352,60 @@ class _SimulationBase:
     def run(self, design: str, collect_steps: bool = False) -> WalkStats:
         """Replay the miss stream through one design (cached per design).
 
-        Consults, in order: the in-process per-design memo, the
+        ``prepare_run`` → ``execute`` → ``commit`` on the calling
+        thread. Consults, in order: the in-process per-design memo, the
         content-addressed stage-2 result cache (when an artifact cache
-        is attached and ``sanitize`` is off), and only then plans and
-        replays — a warm run with unchanged inputs does zero replay.
+        is attached and ``sanitize`` is off), and only then replays — a
+        warm run with unchanged inputs does zero replay.
+        """
+        cell = self.prepare_run(design, collect_steps)
+        return cell.commit(cell.execute())
+
+    def prepare_run(self, design: str, collect_steps: bool = False,
+                    threaded: bool = False) -> PreparedCell:
+        """Split one design's replay into prepare, execute and commit.
+
+        Memo/result-cache consultation and the walker build happen now,
+        on the calling thread. Without ``threaded`` the cell's
+        ``execute()`` is one :func:`replay_walks` call, inline. With it,
+        the engine's order-dependent work also runs now
+        (:func:`~repro.sim.simulator.prepare_replay`), and ``execute()``
+        may run on a worker thread when the cell is ``threadable``;
+        ``commit(stats)`` must then run back on this thread. Either way
+        the result is bit-identical (DESIGN.md §15).
         """
         key = f"{design}:{collect_steps}"
-        stats = self._stats_cache.get(key)
+        stats = self._stats_cache.get(key) \
+            or self._fetch_stage2(design, collect_steps)
         if stats is not None:
-            return stats
-        stats = self._fetch_stage2(design, collect_steps)
-        if stats is not None:
-            return stats
-        with obs_trace.span("stage2.replay", env=self.env_name,
-                            workload=self.workload.name, design=design,
-                            thp=self.config.thp) as sp:
-            walker = self.walker(design)
-            stats = replay_walks(
-                walker,
-                self.tlb.miss_vas,
-                warmup_fraction=self.config.warmup_fraction,
-                collect_steps=collect_steps,
-                engine=self.config.walk_engine,
-            )
-            if sp is not None:
-                sp["walks"] = stats.walks
-                sp["engine"] = stats.engine
-        return self._commit_stage2(design, collect_steps, stats, walker)
-
-    def prepare_run(self, design: str) -> PreparedCell:
-        """Split ``run(design)`` for the two-level executor (DESIGN.md §15).
-
-        Memo/result-cache consultation and all order-dependent work
-        (walker build, planning, state checkout) happen now, on the
-        calling thread. The returned cell's ``execute()`` may run on a
-        worker thread when ``threadable``; ``commit(stats)`` must then
-        run back on this thread. ``prepare -> execute -> commit`` is
-        bit-identical to ``run(design)``.
-        """
-        key = f"{design}:False"
-        stats = self._stats_cache.get(key)
-        if stats is not None:
-            return PreparedCell(design, stats=stats,
-                                source=self.stage2_source(design))
-        stats = self._fetch_stage2(design, False)
-        if stats is not None:
-            return PreparedCell(design, stats=stats, source="disk")
+            return PreparedCell(stats=stats)
         walker = self.walker(design)
-        execute, threadable = prepare_replay(
-            walker, self.tlb.miss_vas,
-            warmup_fraction=self.config.warmup_fraction,
-            engine=self.config.walk_engine)
+        miss_vas = self.tlb.miss_vas
+        warmup = self.config.warmup_fraction
+        threadable = False
+        if threaded:
+            execute, threadable = prepare_replay(
+                walker, miss_vas, warmup_fraction=warmup,
+                collect_steps=collect_steps)
+        else:
+            def execute() -> WalkStats:
+                with obs_trace.span("stage2.replay", env=self.env_name,
+                                    workload=self.workload.name,
+                                    design=design,
+                                    thp=self.config.thp) as sp:
+                    stats = replay_walks(walker, miss_vas,
+                                         warmup_fraction=warmup,
+                                         collect_steps=collect_steps)
+                    if sp is not None:
+                        sp["walks"] = stats.walks
+                        sp["engine"] = stats.engine
+                return stats
 
         def commit(stats: WalkStats) -> WalkStats:
-            return self._commit_stage2(design, False, stats, walker)
+            return self._commit_stage2(design, collect_steps, stats, walker)
 
-        return PreparedCell(design, execute=execute, commit=commit,
-                            walker=walker, threadable=threadable)
+        return PreparedCell(execute=execute, commit=commit, walker=walker,
+                            threadable=threadable)
 
     def stage2_source(self, design: str, collect_steps: bool = False) -> str:
         """Where ``run(design)``'s stats came from: "computed" or "disk"."""
@@ -468,13 +433,12 @@ class _SimulationBase:
     def _stage2_key(self, design: str, collect_steps: bool) -> list:
         """Stage-2 result-cache key: everything a replayed cell depends on.
 
-        The miss-stream digest subsumes the stage-1 knobs (engine,
-        stream_chunk — both bit-identical by contract and pinned by
-        test); ``walk_engine`` is deliberately absent because all
-        stage-2 engines are bit-identical on supported designs, so
-        cells cached by one engine serve the others. The cost-model
-        version constant invalidates every cached cell when calibrated
-        latencies change.
+        The miss-stream digest subsumes the stage-1 knobs (stream_chunk
+        is bit-identical by contract and pinned by test); the stage-2
+        engine is deliberately absent because all engines are
+        bit-identical on supported designs, so cells cached by one
+        engine serve the others. The cost-model version constant
+        invalidates every cached cell when calibrated latencies change.
         """
         cfg = self.config
         return [
@@ -540,7 +504,7 @@ class _SimulationBase:
         """
         cfg = self.config
         return (self.workload.name, cfg.scale, cfg.nrefs, cfg.seed,
-                cfg.thp, cfg.levels, cfg.engine, cfg.scale_mmu_caches)
+                cfg.thp, cfg.levels, cfg.scale_mmu_caches)
 
     def _trace_key(self) -> list:
         """Stage-0 artifact key: everything the address trace depends on.
@@ -743,8 +707,7 @@ class _SimulationBase:
                     result = tlb_filter(
                         trace, self.config.machine,
                         make_size_lookup(process.page_table),
-                        accept_rates=self._accept_rates(),
-                        engine=self.config.engine)
+                        accept_rates=self._accept_rates())
                 if sp is not None:
                     sp["refs"] = result.total_refs
                     sp["misses"] = result.miss_count

@@ -7,18 +7,29 @@ stream through each translation design's walker, so designs are compared
 on identical inputs — the structure of the paper's DynamoRIO methodology
 (§5) at simulation scale.
 
-Stage 1 has two engines. The default, :mod:`repro.sim.tlb_vec`, batches
-the per-reference work with NumPy and runs a chunked state machine over
-flat set/way arrays; the scalar :class:`~repro.hw.tlb.TLBHierarchy` path
-is kept as the reference oracle (``engine="scalar"``). The two are
-bit-identical by construction and by test
+Stage 1 runs on :mod:`repro.sim.tlb_vec`, which batches the
+per-reference work with NumPy and runs a chunked state machine over
+flat set/way arrays. :func:`tlb_filter_scalar`, the per-reference
+:class:`~repro.hw.tlb.TLBHierarchy` loop, is kept as the reference
+oracle; the two are bit-identical by construction and by test
 (``tests/test_tlb_vec.py``).
 
-Stage 2 mirrors that structure: :func:`replay_walks` is the scalar
-oracle and dispatcher, and :mod:`repro.sim.walk_vec` is the batched
-engine for the designs with a planable walk (radix and DMT/pvDMT;
-``tests/test_walk_vec.py`` pins bit-identity). ``engine="auto"`` picks
-the batched path whenever the walker supports it.
+Stage 2 has three engines that are bit-identical on every design they
+support: :func:`replay_walks_scalar` (the per-walk oracle),
+:func:`repro.sim.walk_vec.replay_walks_vec` (batched), and the native
+kernels of :mod:`repro.sim.kernels`. No setting picks between them;
+:func:`prepare_replay` derives the engine from facts it can see, by one
+rule:
+
+* the sanitizer is active or the walker has no batched path
+  (:func:`repro.sim.walk_vec.unsupported_reason` names why) → scalar,
+  with that reason recorded as ``WalkStats.fallback_reason``;
+* the compiled kernel backend loaded and no step collection was asked
+  for → native, planned at prepare time and safe to execute on a worker
+  thread;
+* otherwise → vec.
+
+:func:`replay_walks` is prepare-then-execute on the calling thread.
 """
 
 from __future__ import annotations
@@ -161,27 +172,16 @@ def tlb_filter(
     size_lookup: SizeLookup,
     asid: int = 1,
     accept_rates: Optional[Dict[PageSize, float]] = None,
-    engine: str = "vec",
 ) -> TLBFilterResult:
     """Run stage 1: return the TLB-miss address stream.
 
-    ``engine="vec"`` (default) uses the batched NumPy engine;
-    ``engine="scalar"`` runs the dict-backed oracle. Both emit the same
-    miss stream bit for bit.
+    Runs the batched NumPy engine; :func:`tlb_filter_scalar` is its
+    bit-identical oracle.
     """
-    with obs_trace.span("stage1.tlb_filter", engine=engine,
-                        refs=len(trace)) as sp:
-        if engine == "vec":
-            misses = tlb_vec.filter_misses(trace, machine, size_lookup,
-                                           asid=asid,
-                                           accept_rates=accept_rates)
-            result = TLBFilterResult(misses, len(trace))
-        elif engine == "scalar":
-            result = tlb_filter_scalar(trace, machine, size_lookup,
+    with obs_trace.span("stage1.tlb_filter", refs=len(trace)) as sp:
+        misses = tlb_vec.filter_misses(trace, machine, size_lookup,
                                        asid=asid, accept_rates=accept_rates)
-        else:
-            raise ValueError(f"unknown stage-1 engine {engine!r} "
-                             "(expected 'vec' or 'scalar')")
+        result = TLBFilterResult(misses, len(trace))
         if sp is not None:
             sp["misses"] = result.miss_count
         return result
@@ -198,14 +198,13 @@ class WalkStats:
     ref_count: int = 0
     #: per-position mean breakdown for Figure 16 (tag -> [sum, count])
     step_cycles: Dict[str, List[float]] = field(default_factory=dict)
-    #: Which stage-2 engine produced these stats ("scalar" or "vec").
-    #: Telemetry only — excluded from equality so parity tests can
-    #: compare vec and scalar WalkStats directly.
+    #: Which stage-2 engine produced these stats ("scalar", "vec" or
+    #: "native"). Telemetry only — excluded from equality so parity
+    #: tests can compare the engines' WalkStats directly.
     engine: str = field(default="scalar", compare=False)
-    #: Why ``engine="auto"`` fell back to the scalar loop (the
+    #: Why the replay ran on the scalar loop (the
     #: :func:`repro.sim.walk_vec.unsupported_reason` string), or None
-    #: when the batched path ran or scalar was requested explicitly.
-    #: Telemetry only — excluded from equality like ``engine``.
+    #: when a batched engine ran. Telemetry only, like ``engine``.
     fallback_reason: Optional[str] = field(default=None, compare=False)
 
     @property
@@ -240,57 +239,24 @@ def _chunked_ints(vas: np.ndarray, start: int, stop: int):
         yield from vas[lo:min(lo + _REPLAY_CHUNK, stop)].tolist()
 
 
-def replay_walks(
+def replay_walks_scalar(
     walker: Walker,
     miss_vas: Union[np.ndarray, Sequence[int]],
     warmup_fraction: float = 0.1,
     collect_steps: bool = False,
-    engine: str = "scalar",
 ) -> WalkStats:
-    """Run stage 2: replay the miss stream through one design.
+    """The scalar stage-2 engine: one ``walker.translate`` per miss.
 
-    The first ``warmup_fraction`` of misses warm the PTE caches/PWCs and
-    are excluded from the statistics (the paper's simulator similarly
-    measures steady state over multi-billion-instruction traces). When
-    ``collect_steps`` is off the loop keeps its counters in locals and
-    allocates nothing per walk beyond what the walker itself returns.
-
-    ``engine`` selects the stage-2 path: ``"scalar"`` (this loop, the
-    reference oracle), ``"vec"`` (:mod:`repro.sim.walk_vec`, raising for
-    walkers without a batched path), ``"native"``
-    (:mod:`repro.sim.kernels`, the compiled chunk kernels — same raise,
-    and ``WalkStats.fallback_reason`` records when the kernels ran as
-    uncompiled Python because Numba is absent), or ``"auto"`` (native
-    when the compiled backend is available and the walker supports it,
-    else vec when supported, scalar otherwise). All paths are
-    bit-identical on supported designs (``tests/test_walk_vec.py``).
+    This loop is the reference oracle every batched engine is tested
+    against. The first ``warmup_fraction`` of misses warm the PTE
+    caches/PWCs and are excluded from the statistics (the paper's
+    simulator similarly measures steady state over
+    multi-billion-instruction traces). When ``collect_steps`` is off the
+    loop keeps its counters in locals and allocates nothing per walk
+    beyond what the walker itself returns.
     """
-    if engine not in ("scalar", "vec", "native", "auto"):
-        raise ValueError(f"unknown stage-2 engine {engine!r} "
-                         "(expected 'scalar', 'vec', 'native' or 'auto')")
-    fallback_reason: Optional[str] = None
-    if engine != "scalar":
-        from repro.sim import walk_vec
-        fallback_reason = walk_vec.unsupported_reason(walker)
-        if fallback_reason is None:
-            from repro.sim.kernels import HAVE_NUMBA, replay_walks_native
-            if engine == "native" or (engine == "auto" and HAVE_NUMBA):
-                return replay_walks_native(
-                    walker, miss_vas,
-                    warmup_fraction=warmup_fraction,
-                    collect_steps=collect_steps,
-                )
-            return walk_vec.replay_walks_vec(
-                walker, miss_vas,
-                warmup_fraction=warmup_fraction,
-                collect_steps=collect_steps,
-            )
-        if engine in ("vec", "native"):
-            raise ValueError(
-                f"walker {walker.name!r} has no batched replay path: "
-                f"{fallback_reason} (use engine='auto' or 'scalar')")
     vas = np.asarray(miss_vas, dtype=np.int64)
-    stats = WalkStats(design=walker.name, fallback_reason=fallback_reason)
+    stats = WalkStats(design=walker.name)
     total = len(vas)
     warmup = int(total * warmup_fraction)
     translate = walker.translate
@@ -338,53 +304,66 @@ def prepare_replay(
     walker: Walker,
     miss_vas: Union[np.ndarray, Sequence[int]],
     warmup_fraction: float = 0.1,
-    engine: str = "scalar",
-):
-    """Split one cell's replay into ``(execute, threadable)``.
+    collect_steps: bool = False,
+) -> Tuple[Callable[[], WalkStats], bool]:
+    """Pick the stage-2 engine for one cell and split it into
+    ``(execute, threadable)``.
 
-    The two-level sweep executor wants cell replays it can hand to
-    worker threads, but only the native kernels are thread-safe once
-    their sequential prepare has run (``nogil`` kernels over
-    thread-private flat arrays; DESIGN.md §15). This mirrors
-    :func:`replay_walks`'s engine dispatch:
-
-    * native path applies → the order-dependent planning and
-      ``array_view()`` checkout run *now*, on the calling thread
-      (:func:`repro.sim.kernels.prepare_replay_native`), and the
-      returned ``execute`` only drives kernels — ``threadable=True``;
-    * every other path (scalar, vec, auto-fallback) → ``execute`` is
-      the whole replay and must run on the calling thread in cell
-      order — ``threadable=False`` — because vec planning mutates
-      lazily populated structures shared across a simulation's cells.
-
-    ``execute()`` returns the cell's :class:`WalkStats` either way.
-    Step collection is not offered here (the sweep never asks for it);
-    use :func:`replay_walks` directly for that.
+    This is the only place an engine is chosen, by the rule in the
+    module docstring. The native engine's order-dependent planning and
+    ``array_view()`` checkout run *now*, on the calling thread
+    (:func:`repro.sim.kernels.prepare_replay_native`), and ``execute``
+    only drives ``nogil`` kernels — ``threadable=True``. For vec and
+    scalar, ``execute`` is the whole replay and must run on the calling
+    thread in cell order — ``threadable=False`` — because their planning
+    mutates lazily populated structures shared across a simulation's
+    cells (DESIGN.md §15). ``execute()`` returns the cell's
+    :class:`WalkStats` either way.
     """
-    if engine not in ("scalar", "vec", "native", "auto"):
-        raise ValueError(f"unknown stage-2 engine {engine!r} "
-                         "(expected 'scalar', 'vec', 'native' or 'auto')")
-    if engine != "scalar":
-        from repro.sim import walk_vec
-        if walk_vec.unsupported_reason(walker) is None:
-            from repro.sim.kernels import HAVE_NUMBA, prepare_replay_native
-            if engine == "native" or (engine == "auto" and HAVE_NUMBA):
-                prepared = prepare_replay_native(
-                    walker, miss_vas, warmup_fraction=warmup_fraction)
-                return prepared.execute, True
+    from repro.sim import walk_vec
+    from repro.sim.kernels import HAVE_NUMBA, prepare_replay_native
+
+    reason = walk_vec.unsupported_reason(walker)
+    if reason is None and HAVE_NUMBA and not collect_steps:
+        return prepare_replay_native(
+            walker, miss_vas, warmup_fraction=warmup_fraction).execute, True
 
     def execute() -> WalkStats:
-        return replay_walks(walker, miss_vas,
-                            warmup_fraction=warmup_fraction, engine=engine)
+        if reason is None:
+            return walk_vec.replay_walks_vec(
+                walker, miss_vas, warmup_fraction=warmup_fraction,
+                collect_steps=collect_steps)
+        stats = replay_walks_scalar(walker, miss_vas, warmup_fraction,
+                                    collect_steps)
+        stats.fallback_reason = reason
+        return stats
 
     return execute, False
+
+
+def replay_walks(
+    walker: Walker,
+    miss_vas: Union[np.ndarray, Sequence[int]],
+    warmup_fraction: float = 0.1,
+    collect_steps: bool = False,
+) -> WalkStats:
+    """Run stage 2: replay the miss stream through one design.
+
+    :func:`prepare_replay` then ``execute()``, both on the calling
+    thread; the engine follows from the walker and the process, never
+    from a setting.
+    """
+    execute, _threadable = prepare_replay(
+        walker, miss_vas, warmup_fraction=warmup_fraction,
+        collect_steps=collect_steps)
+    return execute()
 
 
 class Stage1Cache:
     """Sweep-wide stage-1 memo: trace + TLB-miss stream, computed once.
 
     Grid cells that share a stage-1 input signature — workload, scale,
-    trace length, seed, THP mode, tree depth, filter engine — produce
+    trace length, seed, THP mode, tree depth, MMU-cache scaling — produce
     the same miss stream regardless of environment: the workload layout
     and trace are deterministic in the process address space, and the
     TLB filter sees only virtual addresses and page sizes

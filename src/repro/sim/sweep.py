@@ -20,7 +20,9 @@ group's main thread in deterministic cell order; only the ``nogil``
 kernel execution is handed to the thread pool, so cell *k+1*'s planning
 overlaps cell *k*'s kernels and results stay bit-identical to
 sequential replay. Cells without a threadable engine (vec/scalar)
-complete inline at their prepare position.
+complete inline at their prepare position. :func:`replay_cells` runs
+that prepare / submit-or-inline / in-order-commit cycle for sweep
+groups and ``python -m repro run`` alike.
 
 Each grid cell reports telemetry alongside its simulation statistics:
 stage-1 wall time and whether it was served from the group's memo,
@@ -36,34 +38,49 @@ Exposed through ``python -m repro sweep`` and reused by
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import resource
 import time
 from concurrent.futures import (
+    Future,
     ProcessPoolExecutor,
     ThreadPoolExecutor,
     as_completed,
 )
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from concurrent.futures.process import BrokenProcessPool
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.obs import metrics
 from repro.obs import trace as obs_trace
 from repro.sim.artifacts import ArtifactCache
 from repro.sim.machine import ENVIRONMENTS, SimConfig
-from repro.sim.simulator import Stage1Cache
+from repro.sim.simulator import Stage1Cache, WalkStats
 
 #: The paper's seven evaluation workloads (Table 1 order).
 ALL_WORKLOADS = ["Redis", "Memcached", "GUPS", "BTree", "Canneal",
                  "XSBench", "Graph500"]
 
-#: A group task — one (workload, THP) pair across every swept
-#: environment — as picklable primitives: (envs, workload, thp,
-#: designs, config kwargs, trace JSONL path, artifact-cache dir,
-#: cell threads). ``run_group`` tolerates the historical 7-tuple
-#: (missing cell_threads means 1: sequential cell replay).
-GroupTask = Tuple[Tuple[str, ...], str, bool, Optional[Tuple[str, ...]],
-                  Dict, Optional[str], Optional[str], int]
+class GroupTask(NamedTuple):
+    """One (workload, THP) pair across every swept environment.
+
+    Picklable, so the process pool can ship it to a worker.
+    """
+
+    envs: Tuple[str, ...]
+    workload: str
+    thp: bool
+    #: Requested designs, or None for every design of each environment.
+    designs: Optional[Tuple[str, ...]]
+    #: :class:`SimConfig` kwargs (everything except ``thp``).
+    config: Dict
+    #: JSONL span-stream destination, or None.
+    trace_path: Optional[str] = None
+    #: Cross-run artifact-cache directory, or None.
+    artifact_dir: Optional[str] = None
+    #: Replay threads per group (1: sequential cell replay).
+    cell_threads: int = 1
 
 
 def build_sim(env: str, workload: str, config: SimConfig,
@@ -128,7 +145,8 @@ def dead_group_cells(task: GroupTask, exc: BaseException) -> List[Dict]:
     given, the environment class's full design set when sweeping all —
     so a dead group has exactly as many cells as a healthy one.
     """
-    envs, workload, thp, designs = task[0], task[1], task[2], task[3]
+    envs, workload, thp, designs = (task.envs, task.workload, task.thp,
+                                    task.designs)
     cells: List[Dict] = []
     for env in envs:
         env_cls = ENVIRONMENTS.get(env)
@@ -212,9 +230,8 @@ def run_group(task: GroupTask) -> List[Dict]:
     threadable (native-kernel) executions fan out over a
     ``ThreadPoolExecutor`` — bit-identical to sequential replay.
     """
-    envs, workload, thp, designs, config_kwargs, trace_path, \
-        artifact_dir = task[:7]
-    cell_threads = int(task[7]) if len(task) > 7 and task[7] else 1
+    (envs, workload, thp, designs, config_kwargs, trace_path,
+     artifact_dir, cell_threads) = task
     if trace_path:
         obs_trace.enable(trace_path)
     artifacts = ArtifactCache(artifact_dir) if artifact_dir else None
@@ -229,36 +246,28 @@ def run_group(task: GroupTask) -> List[Dict]:
         env_cls = ENVIRONMENTS.get(env)
         if env_cls is not None:
             provided.update(env_cls.designs)
-    executor = (ThreadPoolExecutor(max_workers=cell_threads,
-                                   thread_name_prefix="cell")
-                if cell_threads > 1 else None)
-    try:
-        with obs_trace.span("sweep.run_group", envs="+".join(envs),
-                            workload=workload, thp=thp,
-                            cell_threads=cell_threads):
-            for env in envs:
-                try:
-                    config = SimConfig(thp=thp, **config_kwargs)
-                    build_start = time.perf_counter()
-                    with obs_trace.span("sweep.build_sim", env=env,
-                                        workload=workload, thp=thp):
-                        sim = build_sim(env, workload, config,
-                                        stage1=stage1)
-                    build_seconds = time.perf_counter() - build_start
-                except Exception as exc:
-                    cells.append(error_cell(env, workload, thp, None, exc))
-                    continue
+    with _cell_pool(cell_threads) as executor, \
+            obs_trace.span("sweep.run_group", envs="+".join(envs),
+                           workload=workload, thp=thp,
+                           cell_threads=cell_threads):
+        for env in envs:
+            try:
+                config = SimConfig(thp=thp, **config_kwargs)
+                build_start = time.perf_counter()
+                with obs_trace.span("sweep.build_sim", env=env,
+                                    workload=workload, thp=thp):
+                    sim = build_sim(env, workload, config,
+                                    stage1=stage1)
+                build_seconds = time.perf_counter() - build_start
+            except Exception as exc:
+                cells.append(error_cell(env, workload, thp, None, exc))
+                continue
 
-                available = list(sim.designs)
-                requested = [d for d in (designs or available)
-                             if d in available]
-                env_cells = _run_env_cells(sim, env, workload, thp,
-                                           requested, build_seconds,
-                                           executor=executor)
-                cells.extend(env_cells)
-    finally:
-        if executor is not None:
-            executor.shutdown()
+            available = list(sim.designs)
+            requested = [d for d in (designs or available)
+                         if d in available]
+            cells.extend(_run_env_cells(sim, env, workload, thp, requested,
+                                        build_seconds, executor))
     for design in designs or ():
         if design not in provided:
             exc = KeyError(f"unknown design {design!r}; no swept "
@@ -302,75 +311,81 @@ def _cell_record(sim, env: str, workload: str, thp: bool, design: str,
     }
 
 
+def _cell_pool(cell_threads: int):
+    """The per-group replay thread pool, or a null context yielding
+    None when cells replay sequentially."""
+    if cell_threads > 1:
+        return ThreadPoolExecutor(max_workers=cell_threads,
+                                  thread_name_prefix="cell")
+    return contextlib.nullcontext()
+
+
+def replay_cells(sim, designs: Sequence[str],
+                 executor: Optional[ThreadPoolExecutor] = None
+                 ) -> List[Tuple[str, Optional[WalkStats], Optional[Exception],
+                            float]]:
+    """Replay every design's cell on one machine, in design order.
+
+    The one loop of the two-level executor (DESIGN.md §15). Without
+    an ``executor`` each cell is ``sim.run(design)`` — prepare, execute
+    and commit inline. With one, each cell is prepared in order on this
+    thread; a threadable cell's execution goes to the pool while later
+    cells prepare, every other cell completes inline at its position,
+    and all cells commit back on this thread in design order — same
+    cells, same bits.
+
+    Returns ``(design, stats, error, seconds)`` per design: a cell that
+    raised carries its exception instead of stats, and ``seconds`` is
+    its wall time from the start of its prepare to its commit.
+    """
+    staged = []
+    for design in designs:
+        start = time.perf_counter()
+        cell = future = stats = error = None
+        try:
+            if executor is None:
+                stats = sim.run(design)
+            else:
+                cell = sim.prepare_run(design, threaded=True)
+                if cell.threadable:
+                    future = executor.submit(cell.execute)
+                else:
+                    stats = cell.commit(cell.execute())
+        except Exception as caught:
+            error = caught
+        staged.append((design, cell, future, stats, error, start,
+                       time.perf_counter()))
+    outcomes = []
+    for design, cell, future, stats, error, start, end in staged:
+        if future is not None:
+            try:
+                stats = cell.commit(future.result())
+            except Exception as caught:
+                error = caught
+            end = time.perf_counter()
+        outcomes.append((design, stats, error, end - start))
+    return outcomes
+
+
 def _run_env_cells(sim, env: str, workload: str, thp: bool,
                    requested: List[str], build_seconds: float,
                    executor: Optional[ThreadPoolExecutor] = None
                    ) -> List[Dict]:
     """Replay every requested design on one built machine.
 
-    Without an ``executor`` this is the sequential oracle path
-    (``sim.run`` per design, in order). With one, each design is
-    *prepared* in order on this thread; threadable cells execute on
-    the pool while later cells prepare, and every cell is committed
-    back on this thread in design order — same cells, same bits.
+    Cells come from :func:`replay_cells`; a cell that raised becomes
+    an error cell while the others still report.
     """
     env_cells: List[Dict] = []
     latency: Dict[str, float] = {}
-    if executor is None:
-        for design in requested:
-            replay_start = time.perf_counter()
-            try:
-                stats = sim.run(design)
-            except Exception as exc:
-                env_cells.append(error_cell(env, workload, thp, design,
-                                            exc))
-                continue
-            replay_seconds = time.perf_counter() - replay_start
-            latency[design] = stats.mean_latency
-            env_cells.append(_cell_record(sim, env, workload, thp, design,
-                                          stats, replay_seconds,
-                                          build_seconds))
-    else:
-        # (design, prep, future, exc, start, inline_seconds)
-        staged: List[Tuple] = []
-        for design in requested:
-            start = time.perf_counter()
-            prep = future = exc = inline_seconds = None
-            try:
-                prep = sim.prepare_run(design)
-                if prep.threadable and not prep.ready:
-                    future = executor.submit(prep.execute)
-                else:
-                    # memo/result-cache hits and non-threadable engines
-                    # (vec/scalar planning mutates lazily populated
-                    # structures shared across cells) complete inline,
-                    # at their sequential position
-                    prep.commit(prep.execute())
-                    inline_seconds = time.perf_counter() - start
-            except Exception as caught:
-                exc = caught
-            staged.append((design, prep, future, exc, start,
-                           inline_seconds))
-        for design, prep, future, exc, start, inline_seconds in staged:
-            stats = None
-            if exc is None:
-                try:
-                    if future is not None:
-                        stats = prep.commit(future.result())
-                    else:
-                        stats = prep.stats
-                except Exception as caught:
-                    exc = caught
-            if exc is not None:
-                env_cells.append(error_cell(env, workload, thp, design,
-                                            exc))
-                continue
-            replay_seconds = (inline_seconds if inline_seconds is not None
-                              else time.perf_counter() - start)
-            latency[design] = stats.mean_latency
-            env_cells.append(_cell_record(sim, env, workload, thp, design,
-                                          stats, replay_seconds,
-                                          build_seconds))
+    for design, stats, error, seconds in replay_cells(sim, requested,
+                                                      executor):
+        if error is not None:
+            env_cells.append(error_cell(env, workload, thp, design, error))
+            continue
+        latency[design] = stats.mean_latency
+        env_cells.append(_cell_record(sim, env, workload, thp, design,
+                                      stats, seconds, build_seconds))
     vanilla = latency.get("vanilla")
     for cell in env_cells:
         if "error" in cell:
@@ -386,28 +401,17 @@ def run_design_stats(sim, designs: Sequence[str],
     """``{design: WalkStats}`` on one machine, optionally thread-parallel.
 
     The single-machine twin of the sweep's two-level executor, used by
-    ``python -m repro run --cell-threads``. Exceptions propagate (no
-    error cells — the CLI reports the failure). Bit-identical to
-    calling ``sim.run`` per design.
+    ``python -m repro run --cell-threads``. The first failing cell's
+    exception propagates (no error cells — the CLI reports the
+    failure). Bit-identical to calling ``sim.run`` per design.
     """
-    cell_threads = max(1, int(cell_threads or 1))
-    designs = list(designs)
-    if cell_threads == 1 or len(designs) <= 1:
-        return {design: sim.run(design) for design in designs}
+    with _cell_pool(max(1, int(cell_threads or 1))) as executor:
+        outcomes = replay_cells(sim, list(designs), executor)
     stats: Dict = {}
-    with ThreadPoolExecutor(max_workers=cell_threads,
-                            thread_name_prefix="cell") as executor:
-        staged = []
-        for design in designs:
-            prep = sim.prepare_run(design)
-            if prep.threadable and not prep.ready:
-                staged.append((design, prep, executor.submit(prep.execute)))
-            else:
-                prep.commit(prep.execute())
-                staged.append((design, prep, None))
-        for design, prep, future in staged:
-            stats[design] = (prep.commit(future.result())
-                             if future is not None else prep.stats)
+    for design, cell_stats, error, _seconds in outcomes:
+        if error is not None:
+            raise error
+        stats[design] = cell_stats
     return stats
 
 
@@ -433,9 +437,17 @@ def grid_tasks(envs: Sequence[str],
     wanted = tuple(designs) if designs else None
     env_tuple = tuple(envs)
     threads = max(1, int(cell_threads or 1))
-    return [(env_tuple, workload, thp, wanted, dict(config_kwargs),
-             trace_path, artifact_dir, threads)
+    return [GroupTask(envs=env_tuple, workload=workload, thp=thp,
+                      designs=wanted, config=dict(config_kwargs),
+                      trace_path=trace_path, artifact_dir=artifact_dir,
+                      cell_threads=threads)
             for workload in names for thp in thp_modes]
+
+
+def _task_label(task: GroupTask) -> str:
+    """``envs/workload[ thp]`` for progress lines."""
+    return (f"{'+'.join(task.envs)}/{task.workload}"
+            f"{' thp' if task.thp else ''}")
 
 
 def run_sweep(envs: Sequence[str] = ("native",),
@@ -562,12 +574,20 @@ def run_sweep(envs: Sequence[str] = ("native",),
                 cells_done.inc(len(group_cells))
                 errors_seen.inc(
                     sum(1 for cell in group_cells if "error" in cell))
-                notify(f"[{done}/{len(tasks)}] {'+'.join(task[0])}/{task[1]}"
-                       f"{' thp' if task[2] else ''} done (inline)")
+                notify(f"[{done}/{len(tasks)}] {_task_label(task)} "
+                       f"done (inline)")
         else:
             with ProcessPoolExecutor(max_workers=pool_size) as pool:
-                futures = {pool.submit(run_group, task): task
-                           for task in tasks}
+                futures = {}
+                for task in tasks:
+                    try:
+                        future = pool.submit(run_group, task)
+                    except BrokenProcessPool as exc:
+                        # a worker died before every group was submitted:
+                        # the unsubmitted groups degrade like its own
+                        future = Future()
+                        future.set_exception(exc)
+                    futures[future] = task
                 for future in as_completed(futures):
                     task = futures[future]
                     try:
@@ -587,8 +607,7 @@ def run_sweep(envs: Sequence[str] = ("native",),
                     cells_done.inc(len(group_cells))
                     errors_seen.inc(failed)
                     notify(f"[{done}/{len(tasks)}] "
-                           f"{'+'.join(task[0])}/{task[1]}"
-                           f"{' thp' if task[2] else ''} "
+                           f"{_task_label(task)} "
                            f"{'FAILED' if failed else 'done'}")
     except BaseException:
         # An interrupted sweep (Ctrl-C, OOM-killed pool, fatal error)

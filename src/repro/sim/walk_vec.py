@@ -39,8 +39,9 @@ CWC-predicted probe step) replayed by one interpreter that reproduces
 bit-for-bit; ``tests/test_walk_vec.py`` pins parity for every design.
 
 :func:`unsupported_reason` names why a walker cannot batch (sanitized
-run, missing spec, non-standard hierarchy); ``engine="auto"`` callers
-surface it as ``WalkStats.fallback_reason`` instead of silently
+run, missing spec, non-standard hierarchy); the stage-2 dispatch
+(:func:`repro.sim.simulator.prepare_replay`) then runs the scalar loop
+and records it as ``WalkStats.fallback_reason`` instead of silently
 reporting a scalar replay.
 
 The planning pass preserves lazy first-touch side effects (EPT
@@ -104,8 +105,8 @@ def unsupported_reason(walker: Walker) -> Optional[str]:
     :meth:`~repro.translation.base.Walker.batch_spec`, non-standard
     cache hierarchies (the inlined access path is unrolled for the
     3-level PTE-side hierarchy of Table 3), and specs missing the
-    structures their planner needs. ``engine="auto"`` callers record
-    this string as ``WalkStats.fallback_reason``.
+    structures their planner needs. The stage-2 dispatch records this
+    string as ``WalkStats.fallback_reason``.
     """
     if sanitizer.active():
         return "sanitizer active: batched replay bypasses its hooks"
@@ -1847,8 +1848,8 @@ def replay_walks_vec(
     Drop-in for :func:`repro.sim.simulator.replay_walks` on supported
     walkers (see :func:`supports`): same ``WalkStats`` (cycles, refs,
     fallbacks, step breakdown), same post-replay cache/PWC/walker state.
-    Raises ``ValueError`` for unsupported walkers — callers route those
-    through the scalar loop (``engine="auto"`` does this automatically).
+    Raises ``ValueError`` for unsupported walkers; the stage-2 dispatch
+    routes those through the scalar loop.
     """
     from repro.sim.simulator import WalkStats
 

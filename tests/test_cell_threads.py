@@ -15,16 +15,19 @@ model version invalidates every cached result.
 from __future__ import annotations
 
 import json
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from repro.sim.artifacts import ArtifactCache
 from repro.sim.machine import ENVIRONMENTS, SimConfig
-from repro.sim.simulator import Stage1Cache
+from repro.sim.simulator import Stage1Cache, WalkStats
 from repro.sim.sweep import (
+    GroupTask,
     effective_split,
     grid_tasks,
+    replay_cells,
     run_design_stats,
     run_group,
     run_sweep,
@@ -41,33 +44,30 @@ ALL_PAIRS = [(env, design)
 
 
 def _run_cells(sim, designs, cell_threads):
-    """{design: (stats, walker)} via the prepare/execute/commit pipeline.
+    """{design: (stats, walker)} through the sweep's cell loop.
 
-    Mirrors ``run_design_stats`` but keeps each cell's walker so tests
-    can compare the mutated end state, not just the returned stats.
+    Runs :func:`replay_cells` (sequential, or on a ``cell_threads``
+    pool) and keeps each cell's walker, captured as the machine builds
+    it, so tests can compare the mutated end state, not just the
+    returned stats.
     """
-    from concurrent.futures import ThreadPoolExecutor
+    walkers = {}
+    build = sim.walker
 
-    out = {}
+    def walker(design):
+        walkers[design] = build(design)
+        return walkers[design]
+
+    sim.walker = walker
     if cell_threads <= 1:
-        for design in designs:
-            prep = sim.prepare_run(design)
-            out[design] = (prep.commit(prep.execute()), prep.walker)
-        return out
-    with ThreadPoolExecutor(max_workers=cell_threads) as executor:
-        staged = []
-        for design in designs:
-            prep = sim.prepare_run(design)
-            if prep.threadable and not prep.ready:
-                staged.append((design, prep,
-                               executor.submit(prep.execute)))
-            else:
-                prep.commit(prep.execute())
-                staged.append((design, prep, None))
-        for design, prep, future in staged:
-            stats = (prep.commit(future.result()) if future is not None
-                     else prep.stats)
-            out[design] = (stats, prep.walker)
+        outcomes = replay_cells(sim, designs)
+    else:
+        with ThreadPoolExecutor(max_workers=cell_threads) as executor:
+            outcomes = replay_cells(sim, designs, executor)
+    out = {}
+    for design, stats, error, _seconds in outcomes:
+        assert error is None, f"{design}: {error!r}"
+        out[design] = (stats, walkers[design])
     return out
 
 
@@ -97,17 +97,14 @@ def test_thread_parity_all_pairs():
                                         ("virt", "pvdmt")])
 def test_prepare_replay_native_matches_scalar_oracle(env, design):
     """prepare_replay_native().execute() off-thread == the scalar oracle."""
-    from concurrent.futures import ThreadPoolExecutor
-
     from repro.sim.kernels import prepare_replay_native
-    from repro.sim.simulator import replay_walks
+    from repro.sim.simulator import replay_walks_scalar
 
     config = SimConfig(**CONFIG)
     stage1 = Stage1Cache()
     oracle_sim = ENVIRONMENTS[env]("GUPS", config, stage1=stage1)
     oracle_walker = oracle_sim.walker(design)
-    oracle = replay_walks(oracle_walker, oracle_sim.tlb.miss_vas,
-                          engine="scalar")
+    oracle = replay_walks_scalar(oracle_walker, oracle_sim.tlb.miss_vas)
 
     sim = ENVIRONMENTS[env]("GUPS", config, stage1=stage1)
     walker = sim.walker(design)
@@ -143,22 +140,53 @@ def _stable(cells):
     return stable_cells(cells)
 
 
-def test_run_group_accepts_legacy_7_tuple_and_cell_threads():
-    legacy = (("native", "virt"), "GUPS", False, ("vanilla", "dmt"),
-              dict(CONFIG), None, None)
-    threaded = legacy + (4,)
-    cells_legacy = run_group(legacy)
+def test_run_group_cell_threads_matches_sequential():
+    sequential = GroupTask(("native", "virt"), "GUPS", False,
+                           ("vanilla", "dmt"), dict(CONFIG))
+    threaded = sequential._replace(cell_threads=4)
+    cells_sequential = run_group(sequential)
     cells_threaded = run_group(threaded)
-    assert _stable(cells_threaded) == _stable(cells_legacy)
+    assert _stable(cells_threaded) == _stable(cells_sequential)
     for cell in cells_threaded:
         assert cell["stage2_source"] == "computed"
         assert cell["group_seconds"] > 0.0
+    # the historical 7-tuple (no cell_threads field) is no longer a task
+    with pytest.raises(ValueError):
+        run_group(tuple(sequential)[:7])
+
+
+def test_sequential_group_calls_machine_replay_walks_per_computed_cell(
+        tmp_path, monkeypatch):
+    """Every computed cell replayed sequentially goes through the
+    module-global ``repro.sim.machine.replay_walks`` (the hook a traced
+    run wraps) and gets WalkStats back; served cells do not replay."""
+    import repro.sim.machine as machine
+
+    calls = []
+    real = machine.replay_walks
+
+    def counting(*args, **kwargs):
+        stats = real(*args, **kwargs)
+        calls.append(stats)
+        return stats
+
+    monkeypatch.setattr(machine, "replay_walks", counting)
+    task = GroupTask(("native", "virt"), "GUPS", False, ("vanilla", "dmt"),
+                     dict(CONFIG), artifact_dir=str(tmp_path),
+                     cell_threads=1)
+    cold = run_group(task)
+    assert [c["stage2_source"] for c in cold] == ["computed"] * 4
+    assert len(calls) == 4
+    assert all(isinstance(stats, WalkStats) for stats in calls)
+    warm = run_group(task)
+    assert [c["stage2_source"] for c in warm] == ["disk"] * 4
+    assert len(calls) == 4
 
 
 def test_grid_tasks_and_split_carry_cell_threads():
     task = grid_tasks(("native",), ["GUPS"], cell_threads=3)[0]
-    assert task[7] == 3
-    assert grid_tasks(("native",), ["GUPS"])[0][7] == 1
+    assert task.cell_threads == 3
+    assert grid_tasks(("native",), ["GUPS"])[0].cell_threads == 1
     assert effective_split(4, 10, 2) == (4, 2)
     assert effective_split(8, 2, None) == (2, 1)
 

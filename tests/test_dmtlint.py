@@ -232,8 +232,9 @@ def test_cli_exit_codes_and_summary(capsys):
 
 
 def test_cli_json_output(capsys):
-    assert main([str(STATIC), "--rules", "L3", "--json"]) == 1
-    findings = json.loads(capsys.readouterr().out)
+    assert main([str(STATIC), "--rules", "L3", "--format", "json"]) == 1
+    findings = [json.loads(line)
+                for line in capsys.readouterr().out.strip().splitlines()]
     assert [f["rule"] for f in findings] == ["L301"]
     assert findings[0]["path"].endswith("uncited_cost_bug.py")
 

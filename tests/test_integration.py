@@ -121,12 +121,16 @@ class TestDeterminism:
         b = NativeSimulation("GUPS", SimConfig(scale=4096, nrefs=3000, seed=4))
         assert not np.array_equal(a.tlb.miss_vas, b.tlb.miss_vas)
 
-    def test_engines_agree_end_to_end(self):
-        """The vec and scalar stage-1 engines feed identical machines."""
-        vec = NativeSimulation("GUPS", SimConfig(scale=4096, nrefs=3000,
-                                                 seed=3, engine="vec"))
-        scalar = NativeSimulation("GUPS", SimConfig(scale=4096, nrefs=3000,
-                                                    seed=3, engine="scalar"))
+    def test_engines_agree_end_to_end(self, monkeypatch):
+        """The vec stage-1 engine and its scalar oracle feed identical
+        machines (the oracle swapped in where the machine filters)."""
+        from repro.sim.simulator import tlb_filter_scalar
+
+        config = SimConfig(scale=4096, nrefs=3000, seed=3)
+        vec = NativeSimulation("GUPS", config)
+        monkeypatch.setattr("repro.sim.machine.tlb_filter",
+                            tlb_filter_scalar)
+        scalar = NativeSimulation("GUPS", config)
         assert np.array_equal(vec.tlb.miss_vas, scalar.tlb.miss_vas)
         assert vec.run("dmt").total_cycles == scalar.run("dmt").total_cycles
 

@@ -24,8 +24,8 @@ from repro.sim import jobs
 from repro.sim.jobs import journal as jn
 from repro.sim.jobs.scheduler import JobScheduler
 from repro.sim.jobs.spec import JobSpec
-from repro.sim.sweep import (dead_group_cells, effective_workers, run_group,
-                             run_sweep)
+from repro.sim.sweep import (GroupTask, dead_group_cells, effective_workers,
+                             run_group, run_sweep)
 
 GRID = dict(envs=["native"], workloads=["GUPS", "Redis", "BTree"],
             designs=["vanilla", "dmt"])
@@ -131,6 +131,12 @@ class TestJobSpec:
             JobSpec.build(envs=["bogus"])
         with pytest.raises(KeyError, match="unknown design"):
             JobSpec.build(envs=["native"], designs=["bogus"])
+
+    def test_build_refuses_config_no_shard_can_build(self):
+        with pytest.raises(ValueError, match="'walk_engine'"):
+            small_spec(walk_engine="auto")
+        with pytest.raises(ValueError, match="stream_chunk"):
+            small_spec(stream_chunk=-5)
 
     def test_task_matches_group_task_shape(self):
         spec = small_spec()
@@ -386,6 +392,30 @@ class TestClient:
         with pytest.raises(FileNotFoundError, match="no job journal"):
             jobs.resume(str(tmp_path / "empty"))
 
+    def test_resume_refuses_removed_config_key(self, tmp_path, capsys):
+        """A job journaled with a setting SimConfig no longer takes
+        (``walk_engine``) must refuse to resume — the CLI exits 2 naming
+        the key — instead of journaling every shard as error cells."""
+        from repro.__main__ import main
+
+        job_dir = str(tmp_path / "old-job")
+        spec = JobSpec(envs=("native",), workloads=("GUPS",),
+                       designs=("vanilla",), thp_modes=(False,),
+                       config={**CONFIG, "walk_engine": "auto"})
+        os.makedirs(job_dir)
+        with jn.Journal(jn.journal_path(job_dir)) as journal:
+            journal.append({"type": "job", "job_id": spec.job_id,
+                            "spec": spec.canonical(), "unix": 0.0})
+        with open(jn.journal_path(job_dir), "rb") as handle:
+            before = handle.read()
+        with pytest.raises(ValueError, match="'walk_engine'"):
+            jobs.resume(job_dir, workers=1)
+        assert main(["jobs", "resume", job_dir, "--workers", "1",
+                     "--no-artifact-cache"]) == 2
+        assert "walk_engine" in capsys.readouterr().err
+        with open(jn.journal_path(job_dir), "rb") as handle:
+            assert handle.read() == before
+
     def test_cancel_of_finished_job_reports_false(self, tmp_path):
         job_dir = str(tmp_path / "job")
         jobs.submit(small_spec(workloads=["GUPS"]), job_dir=job_dir,
@@ -491,8 +521,8 @@ class TestRunSweepTelemetry:
     def test_dead_group_cell_count_matches_healthy_group(self):
         """A dead worker's fabricated cells must cover exactly the cells
         a healthy run of the same task would have produced."""
-        task = (("native",), "GUPS", False, ("vanilla", "dmt"),
-                dict(CONFIG), None, None)
+        task = GroupTask(("native",), "GUPS", False, ("vanilla", "dmt"),
+                         dict(CONFIG))
         healthy = run_group(task)
         dead = dead_group_cells(task, OSError("worker died"))
         assert len(dead) == len(healthy)
@@ -504,7 +534,7 @@ class TestRunSweepTelemetry:
         """Sweeping all designs (designs=None): one cell per env design."""
         from repro.sim.machine import ENVIRONMENTS
 
-        task = (("native",), "GUPS", False, None, dict(CONFIG), None, None)
+        task = GroupTask(("native",), "GUPS", False, None, dict(CONFIG))
         dead = dead_group_cells(task, OSError("boom"))
         assert [c["design"] for c in dead] == \
             list(ENVIRONMENTS["native"].designs)
@@ -524,3 +554,31 @@ class TestRunSweepTelemetry:
             ("GUPS", "dmt"), ("GUPS", "vanilla"),
             ("Redis", "dmt"), ("Redis", "vanilla")]
         assert all("error" in c for c in document["cells"])
+
+    def test_pool_breaking_during_submission_yields_error_cells(
+            self, monkeypatch):
+        """A worker can die before the sweep has submitted every group;
+        the refused submissions must degrade to error cells too, not
+        abort the sweep."""
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
+        import repro.sim.sweep as sweep_mod
+
+        class BreaksAfterFirstSubmit(ProcessPoolExecutor):
+            def submit(self, fn, *args, **kwargs):
+                if getattr(self, "_submitted", False):
+                    raise BrokenProcessPool("worker died mid-submission")
+                self._submitted = True
+                return super().submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(sweep_mod, "run_group", _die_run_group)
+        monkeypatch.setattr(sweep_mod, "ProcessPoolExecutor",
+                            BreaksAfterFirstSubmit)
+        document = sweep_mod.run_sweep(
+            envs=["native"], workloads=["GUPS", "Redis"],
+            designs=["vanilla", "dmt"], workers=2, **CONFIG)
+        assert len(document["cells"]) == 4
+        assert all("error" in c for c in document["cells"])
+        assert any("mid-submission" in c["error"]
+                   for c in document["cells"])

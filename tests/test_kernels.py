@@ -25,7 +25,7 @@ from repro.sim.kernels import (
     HAVE_NUMBA,
     UNAVAILABLE_REASON,
     jit,
-    replay_walks_native,
+    prepare_replay_native,
 )
 from repro.sim.kernels import designs, primitives, radix
 from repro.sim.kernels.replay import _cache_state, _cwc_state, _pwc_state
@@ -166,14 +166,14 @@ def test_cwc_primitives_match_oracle():
     assert (subject.hits, subject.misses) == (oracle.hits, oracle.misses)
 
 
-def test_replay_walks_native_rejects_unsupported():
+def test_prepare_replay_native_rejects_unsupported():
     from repro.analysis import sanitizer
     try:
         config = SimConfig(scale=4096, nrefs=500, seed=0, sanitize=True)
         sim = ENVIRONMENTS["native"]("GUPS", config)
         with pytest.raises(ValueError, match="sanitizer"):
-            replay_walks_native(sim.walker("vanilla"),
-                                sim.tlb.miss_vas[:32])
+            prepare_replay_native(sim.walker("vanilla"),
+                                  sim.tlb.miss_vas[:32])
     finally:
         sanitizer.reset()
 

@@ -151,7 +151,7 @@ class TestCLI:
         code = main(["run", "--workload", "GUPS", "--env", "native",
                      "--designs", "vanilla,dmt", "--nrefs", "1500",
                      "--scale", "8192", "--levels", "5",
-                     "--register-count", "8", "--engine", "scalar"])
+                     "--register-count", "8"])
         assert code == 0
         assert "walk speedup" in capsys.readouterr().out
 

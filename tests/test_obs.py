@@ -20,7 +20,7 @@ from repro.hw.config import xeon_gold_6138
 from repro.hw.tlb import TLB
 from repro.obs import metrics, regress, trace
 from repro.obs.metrics import MetricsRegistry
-from repro.sim.sweep import run_group, run_sweep
+from repro.sim.sweep import GroupTask, run_group, run_sweep
 
 
 # --------------------------------------------------------------------- #
@@ -400,8 +400,8 @@ class TestSweepIntegration:
                       scale=4096, nrefs=2000)
 
     def test_run_group_emits_error_cell_for_unknown_design(self):
-        task = (("native",), "GUPS", False, ("vanilla", "bogus"),
-                dict(scale=4096, nrefs=2000), None, None)
+        task = GroupTask(("native",), "GUPS", False, ("vanilla", "bogus"),
+                         dict(scale=4096, nrefs=2000))
         cells = run_group(task)
         good = [c for c in cells if "error" not in c]
         bad = [c for c in cells if "error" in c]

@@ -136,16 +136,6 @@ def test_resolved_stream_chunk_policy():
     assert off.resolved_stream_chunk() is None   # 0 forces monolithic
     auto = dataclasses.replace(BASE, nrefs=STREAM_NREFS_THRESHOLD)
     assert auto.resolved_stream_chunk() == DEFAULT_STREAM_CHUNK
-    scalar = dataclasses.replace(BASE, nrefs=STREAM_NREFS_THRESHOLD,
-                                 engine="scalar")
-    assert scalar.resolved_stream_chunk() is None  # vec-only auto
-
-
-def test_stream_chunk_rejects_scalar_engine():
-    with pytest.raises(ValueError):
-        SimConfig(stream_chunk=1000, engine="scalar")
-    with pytest.raises(ValueError):
-        SimConfig(stream_chunk=-1)
 
 
 @pytest.mark.parametrize("name", ["GUPS", "Redis", "BTree"])

@@ -1,15 +1,17 @@
 """Oracle parity for the batched and native stage-2 replay engines.
 
-``walk_vec.replay_walks_vec`` and ``kernels.replay_walks_native`` must
-be bit-identical to the scalar ``replay_walks`` oracle: same
-:class:`WalkStats` (including the step breakdown on the vec path), same
-walker/fetcher counters, and the same memory-subsystem state (cache
-sets + LRU order, PWC tables + thinning credits, the ECPT cuckoo-walk
-cache) after the replay. Designs the engines do not support must
-transparently fall back to the scalar path under ``engine="auto"``.
-The parity cases run against both batched engines (the ``ENGINES``
-parametrization); on the native engine the same assertions hold
-whichever kernel backend (numba or pure Python) is active.
+``walk_vec.replay_walks_vec`` and ``kernels.prepare_replay_native``
+must be bit-identical to the scalar ``replay_walks_scalar`` oracle:
+same :class:`WalkStats` (including the step breakdown on the vec path),
+same walker/fetcher counters, and the same memory-subsystem state
+(cache sets + LRU order, PWC tables + thinning credits, the ECPT
+cuckoo-walk cache) after the replay. The parity cases call each engine
+directly (the ``ENGINES`` parametrization); on the native engine the
+same assertions hold whichever kernel backend (numba or pure Python) is
+active. The stage-2 dispatch (``replay_walks``/``prepare_replay``)
+derives the engine by one rule, pinned at the end of this module:
+scalar with a recorded reason when a walker cannot batch, native when
+the compiled backend loaded and no steps are collected, vec otherwise.
 """
 
 from dataclasses import replace
@@ -19,19 +21,25 @@ import pytest
 
 from repro.core.registers import RegisterSet
 from repro.hw.config import xeon_gold_6138
-from repro.sim.kernels import HAVE_NUMBA
+from repro.sim.kernels import HAVE_NUMBA, prepare_replay_native
 from repro.sim.machine import ENVIRONMENTS, SimConfig
-from repro.sim.simulator import Stage1Cache, replay_walks
-from repro.sim.sweep import run_group
+from repro.sim.simulator import (
+    Stage1Cache,
+    prepare_replay,
+    replay_walks,
+    replay_walks_scalar,
+)
+from repro.sim.sweep import GroupTask, run_group
 from repro.sim.walk_vec import replay_walks_vec, supports
 
 #: Both batched stage-2 engines; the parity suite runs each against the
 #: scalar oracle.
 ENGINES = ("vec", "native")
 
-#: What ``engine="auto"`` resolves to in this process: the native
-#: kernels when the compiled backend imported, else the vec engine.
-AUTO_ENGINE = "native" if HAVE_NUMBA else "vec"
+#: What the stage-2 dispatch resolves a batchable walker to in this
+#: process: the native kernels when the compiled backend imported, else
+#: the vec engine.
+RESOLVED_ENGINE = "native" if HAVE_NUMBA else "vec"
 
 #: Every (environment, design) pair the batched engine vectorizes —
 #: since the ECPT/FPT/Agile/ASAP planners landed, that is the full
@@ -128,16 +136,13 @@ def _design_state(walker):
 
 def _assert_parity(walker_scalar, walker_vec, miss_vas, engine="vec"):
     if engine == "native":
-        # The kernels carry no step tags (collection delegates to the
-        # vec runners), so the native leg compares stats and the full
-        # post-replay state without step collection.
-        stats_scalar = replay_walks(walker_scalar, miss_vas,
-                                    collect_steps=False, engine="scalar")
-        stats_vec = replay_walks(walker_vec, miss_vas,
-                                 collect_steps=False, engine="native")
+        # The kernels carry no step tags, so the native leg compares
+        # stats and the full post-replay state without step collection.
+        stats_scalar = replay_walks_scalar(walker_scalar, miss_vas)
+        stats_vec = prepare_replay_native(walker_vec, miss_vas).execute()
     else:
-        stats_scalar = replay_walks(walker_scalar, miss_vas,
-                                    collect_steps=True, engine="scalar")
+        stats_scalar = replay_walks_scalar(walker_scalar, miss_vas,
+                                           collect_steps=True)
         stats_vec = replay_walks_vec(walker_vec, miss_vas,
                                      collect_steps=True)
     assert stats_scalar.engine == "scalar" and stats_vec.engine == engine
@@ -210,7 +215,7 @@ def test_vec_chunk_runner_matches_scalar_without_step_collection(
     if pte_share is not None:
         l1 = walker_vec.memsys.caches.levels[0]
         assert l1.batch_view().num_sets > 1
-    stats_scalar = replay_walks(walker_scalar, miss_vas, engine="scalar")
+    stats_scalar = replay_walks_scalar(walker_scalar, miss_vas)
     stats_vec = replay_walks_vec(walker_vec, miss_vas, chunk=512)
     assert stats_vec.engine == "vec"
     assert stats_scalar == stats_vec
@@ -218,55 +223,61 @@ def test_vec_chunk_runner_matches_scalar_without_step_collection(
     assert _memsys_state(walker_scalar) == _memsys_state(walker_vec)
 
 
+def _sanitized_native_sim():
+    return ENVIRONMENTS["native"]("GUPS", replace(_config(), sanitize=True))
+
+
 def test_auto_engine_falls_back_to_scalar():
     """Every design now has a planner, so the remaining genuine
     fallbacks are environmental — here a sanitized run, whose runtime
-    hooks the batched engine would bypass. ``auto`` must fall back and
-    record why; ``vec`` must refuse with the same reason."""
+    hooks the batched engine would bypass. The dispatch must fall back
+    to the scalar oracle, bit-identically, and record why; the vec
+    engine called directly must refuse with the same reason."""
     from repro.analysis import sanitizer
     from repro.sim.walk_vec import unsupported_reason
 
     try:
-        config = replace(_config(), sanitize=True)
-        sim = ENVIRONMENTS["native"]("GUPS", config)
+        sim_oracle, sim = _sanitized_native_sim(), _sanitized_native_sim()
         walker = sim.walker("vanilla")
         assert not supports(walker)
         reason = unsupported_reason(walker)
         assert "sanitizer" in reason
-        stats = replay_walks(walker, sim.tlb.miss_vas[:64], engine="auto")
+        stats = replay_walks(walker, sim.tlb.miss_vas[:64])
         assert stats.engine == "scalar"
         assert stats.fallback_reason == reason
+        assert stats == replay_walks_scalar(sim_oracle.walker("vanilla"),
+                                            sim_oracle.tlb.miss_vas[:64])
         with pytest.raises(ValueError, match="sanitizer"):
-            replay_walks(sim.walker("vanilla"), sim.tlb.miss_vas[:64],
-                         engine="vec")
+            replay_walks_vec(sim.walker("vanilla"), sim.tlb.miss_vas[:64])
     finally:
         sanitizer.reset()
 
 
-def test_auto_engine_prefers_native_when_compiled():
-    """``auto`` resolves to the native kernels only when the compiled
-    backend imported; with the pure-Python backend it stays on vec (the
-    uncompiled kernels are bit-identical but slower), and only an
-    explicit ``engine="native"`` runs them."""
-    sim = ENVIRONMENTS["native"]("GUPS", _config())
-    stats = replay_walks(sim.walker("ecpt"), sim.tlb.miss_vas[:64],
-                         engine="auto")
-    assert stats.engine == AUTO_ENGINE
-    if HAVE_NUMBA:
-        assert stats.fallback_reason is None
-    else:
-        assert stats.fallback_reason is None  # vec path, nothing fell back
+def test_auto_engine_prefers_native_when_compiled(monkeypatch):
+    """With the compiled backend loaded the dispatch plans the native
+    kernels at prepare time and marks the cell threadable. Forcing the
+    backend flag exercises that branch on any install (the uncompiled
+    kernels are the same source), bit-identically to the oracle."""
+    monkeypatch.setattr("repro.sim.kernels.HAVE_NUMBA", True)
+    walker_scalar, walker_native, miss_vas = _build_pair(
+        "native", "ecpt", _config())
+    execute, threadable = prepare_replay(walker_native, miss_vas)
+    assert threadable
+    stats = execute()
+    assert stats.engine == "native"
+    assert stats == replay_walks_scalar(walker_scalar, miss_vas)
+    assert _memsys_state(walker_scalar) == _memsys_state(walker_native)
 
 
 def test_explicit_native_records_backend_fallback_reason():
-    """``engine="native"`` always runs the kernels; when numba is absent
-    the stats must say the uncompiled backend ran (never silently
-    masquerade as the compiled engine)."""
+    """The native engine called directly always runs the kernels; when
+    numba is absent the stats must say the uncompiled backend ran
+    (never silently masquerade as the compiled engine)."""
     from repro.sim.kernels import UNAVAILABLE_REASON
 
     sim = ENVIRONMENTS["native"]("GUPS", _config())
-    stats = replay_walks(sim.walker("vanilla"), sim.tlb.miss_vas[:64],
-                         engine="native")
+    stats = prepare_replay_native(sim.walker("vanilla"),
+                                  sim.tlb.miss_vas[:64]).execute()
     assert stats.engine == "native"
     if HAVE_NUMBA:
         assert stats.fallback_reason is None
@@ -275,30 +286,65 @@ def test_explicit_native_records_backend_fallback_reason():
         assert "numba" in stats.fallback_reason
 
 
-def test_native_step_collection_delegates_to_vec():
-    """Step collection needs the interpreted runners' latency tags; the
-    native engine must hand off and say so, bit-identically."""
-    from repro.sim.kernels.replay import STEP_COLLECTION_REASON
-
-    config = _config()
-    walker_scalar, walker_native, miss_vas = _build_pair(
-        "native", "vanilla", config)
-    stats_scalar = replay_walks(walker_scalar, miss_vas,
-                                collect_steps=True, engine="scalar")
-    stats_native = replay_walks(walker_native, miss_vas,
-                                collect_steps=True, engine="native")
-    assert stats_native.engine == "native"
-    assert stats_native.fallback_reason == STEP_COLLECTION_REASON
-    assert stats_scalar == stats_native
-    assert stats_scalar.step_breakdown() == stats_native.step_breakdown()
-    assert _memsys_state(walker_scalar) == _memsys_state(walker_native)
+def test_native_step_collection_delegates_to_vec(monkeypatch):
+    """Step collection needs the interpreted runners' latency tags, so
+    the dispatch resolves it to vec even with the compiled backend
+    loaded — bit-identically, and without a fallback reason."""
+    monkeypatch.setattr("repro.sim.kernels.HAVE_NUMBA", True)
+    walker_scalar, walker_vec, miss_vas = _build_pair(
+        "native", "vanilla", _config())
+    stats_scalar = replay_walks_scalar(walker_scalar, miss_vas,
+                                       collect_steps=True)
+    execute, threadable = prepare_replay(walker_vec, miss_vas,
+                                         collect_steps=True)
+    assert not threadable
+    stats_vec = execute()
+    assert stats_vec.engine == "vec"
+    assert stats_vec.fallback_reason is None
+    assert stats_scalar == stats_vec
+    assert stats_scalar.step_breakdown() == stats_vec.step_breakdown()
+    assert _memsys_state(walker_scalar) == _memsys_state(walker_vec)
 
 
 def test_replay_rejects_unknown_engine():
+    """The engine is derived, never chosen: the stage-2 entry points
+    take no ``engine`` argument at all."""
     sim = ENVIRONMENTS["native"]("GUPS", _config())
-    with pytest.raises(ValueError):
-        replay_walks(sim.walker("vanilla"), sim.tlb.miss_vas[:8],
-                     engine="turbo")
+    for entry in (replay_walks, prepare_replay):
+        with pytest.raises(TypeError, match="engine"):
+            entry(sim.walker("vanilla"), sim.tlb.miss_vas[:8],
+                  engine="vec")
+
+
+@pytest.mark.parametrize("case", ["python-backend", "sanitizer",
+                                  "compiled"])
+def test_engine_resolution_rule(case):
+    """The one resolution rule, on this process's real backend: vec on
+    the numpy-only backend, scalar plus the reason under the sanitizer,
+    native (threadable) when the compiled backend loaded."""
+    from repro.analysis import sanitizer
+
+    if case == "python-backend" and HAVE_NUMBA:
+        pytest.skip("numba is installed: batchable cells resolve native")
+    if case == "compiled" and not HAVE_NUMBA:
+        pytest.skip("numba is not installed")
+    try:
+        sim = (_sanitized_native_sim() if case == "sanitizer"
+               else ENVIRONMENTS["native"]("GUPS", _config()))
+        execute, threadable = prepare_replay(sim.walker("dmt"),
+                                             sim.tlb.miss_vas[:64])
+        stats = execute()
+    finally:
+        sanitizer.reset()
+    expected = {"python-backend": ("vec", False, None),
+                "sanitizer": ("scalar", False, "sanitizer"),
+                "compiled": ("native", True, None)}[case]
+    engine, want_threadable, reason = expected
+    assert (stats.engine, threadable) == (engine, want_threadable)
+    if reason is None:
+        assert stats.fallback_reason is None
+    else:
+        assert reason in stats.fallback_reason
 
 
 def test_stage1_cache_shares_miss_stream_across_environments():
@@ -317,14 +363,15 @@ def test_stage1_cache_shares_miss_stream_across_environments():
 
 def test_run_group_reports_stage1_reuse_telemetry(tmp_path):
     artifact_dir = str(tmp_path / "artifacts")
-    task = (("native", "virt"), "GUPS", False, ("vanilla",),
-            dict(scale=4096, nrefs=3000), None, artifact_dir)
+    task = GroupTask(("native", "virt"), "GUPS", False, ("vanilla",),
+                     dict(scale=4096, nrefs=3000),
+                     artifact_dir=artifact_dir)
     cells = run_group(task)
     assert [cell["env"] for cell in cells] == ["native", "virt"]
     assert [cell["stage1_reused"] for cell in cells] == [False, True]
     assert [cell["stage1_source"] for cell in cells] == ["computed", "memo"]
     assert cells[0]["stage1_seconds"] == cells[1]["stage1_seconds"] > 0.0
-    assert all(cell["walk_engine"] == AUTO_ENGINE for cell in cells)
+    assert all(cell["walk_engine"] == RESOLVED_ENGINE for cell in cells)
     assert all(cell["stage2_fallback_reason"] is None for cell in cells)
     # A rerun of the group (fresh Stage1Cache, as in a new worker or a
     # new process) serves stage 1 from the on-disk artifact cache.
