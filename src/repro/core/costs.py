@@ -26,8 +26,9 @@ from typing import Dict, List
 #: latencies, walk-cost accounting). Bump on ANY change that can alter
 #: replayed cycle counts: the stage-2 result cache folds this constant
 #: into its content-addressed key, so stale cached cells are never
-#: served across a cost-model change.
-COST_MODEL_VERSION = 1
+#: served across a cost-model change. Version 2: each walker owns its
+#: ECPT cuckoo-walk cache.
+COST_MODEL_VERSION = 2
 
 #: Fixed CPU cost of bookkeeping per management op, microseconds.
 #: Anchored to the §6.3 management-overhead measurements: the per-op bases

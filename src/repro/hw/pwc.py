@@ -9,6 +9,9 @@ the tree. Table 3 configures three PWC levels with 2 / 4 / 32 entries
 The nested PWC plays the same role for the host dimension of a 2D walk: it
 caches gPA -> host-leaf partial walks so the inner hL4..hL1 chain can be
 skipped for recently-walked guest-physical pages.
+
+ECPT's Cuckoo Walk Cache, the hashed designs' MMU-side way predictor,
+lives here beside them.
 """
 
 from __future__ import annotations
@@ -397,3 +400,88 @@ class NestedPWC:
             stats=self.stats,
             owner=self,
         )
+
+
+def cwc_key(size: int, group: int) -> int:
+    """A :class:`CuckooWalkCache` key: ``(size, group)`` packed as one int.
+
+    ``size`` is a page-size shift (12/21/30), well under 64, and groups
+    of 48-bit VAs leave ample headroom.
+    """
+    return (group << 6) | size
+
+
+class CuckooWalkCache:
+    """Way prediction (ECPT's Cuckoo Walk Tables/Caches).
+
+    Caches which way of which size table holds a VPN group, so most
+    lookups issue a single probe instead of ways x sizes parallel ones.
+    LRU over :func:`cwc_key` keys. Each walker's
+    :class:`~repro.translation.base.MemorySubsystem` owns one, so a
+    replay's predictions never depend on an earlier walker's.
+    """
+
+    def __init__(self, capacity: int = 16384):
+        self.capacity = capacity
+        self._entries: Dict[int, int] = {}
+        self.hits = 0
+        self.misses = 0
+
+    def get(self, size: int, group: int) -> Optional[int]:
+        key = cwc_key(size, group)
+        way = self._entries.pop(key, None)
+        if way is None:
+            self.misses += 1
+            return None
+        self._entries[key] = way
+        self.hits += 1
+        return way
+
+    def put(self, size: int, group: int, way: int) -> None:
+        key = cwc_key(size, group)
+        if key in self._entries:
+            self._entries.pop(key)
+        elif len(self._entries) >= self.capacity:
+            self._entries.pop(next(iter(self._entries)))
+        self._entries[key] = way
+
+    def flush(self) -> None:
+        self._entries.clear()
+
+    def array_view(self) -> "CWCArrayView":
+        """Flat ndarray state copy for the native kernel engine.
+
+        See :class:`CWCArrayView` for the writeback contract.
+        """
+        keys = np.full(self.capacity, -1, dtype=np.int64)
+        ways = np.full(self.capacity, -1, dtype=np.int64)
+        for slot, (key, way) in enumerate(self._entries.items()):
+            keys[slot] = key
+            ways[slot] = way
+        return CWCArrayView(
+            keys=keys,
+            ways=ways,
+            meta=np.array([len(self._entries), self.capacity],
+                          dtype=np.int64),
+            owner=self,
+        )
+
+
+@dataclass
+class CWCArrayView:
+    """Flat ndarray snapshot of a :class:`CuckooWalkCache` (native kernels).
+
+    Same copy/writeback contract as the cache/PWC array views: mutate
+    the arrays, then call :meth:`writeback` exactly once; hit/miss
+    counters are accumulated by the kernels and flushed separately.
+    """
+
+    keys: np.ndarray      # int64[capacity], LRU order oldest first, -1 empty
+    ways: np.ndarray      # int64[capacity]
+    meta: np.ndarray      # int64[2]: [live entries, capacity]
+    owner: "CuckooWalkCache"
+
+    def writeback(self) -> None:
+        count = int(self.meta[0])
+        self.owner._entries = {int(self.keys[k]): int(self.ways[k])
+                               for k in range(count)}

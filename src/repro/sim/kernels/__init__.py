@@ -1,7 +1,7 @@
 """Native-compiled stage-2 replay kernels (the ``native`` walk engine).
 
-The batched engine in :mod:`repro.sim.walk_vec` still executes its
-chunked state machine per-reference in the Python interpreter over
+The batched engine in :mod:`repro.sim.walk_vec` executes its chunked
+state machine per-reference in the Python interpreter over
 ``batch_view()`` dicts. This package replaces that hot loop with
 preallocated flat ndarray state (``array_view()`` on the caches, PWCs
 and the ECPT cuckoo-walk cache) and per-design chunk kernels that are
@@ -11,8 +11,11 @@ is bit-identical by construction (:mod:`repro.sim.kernels.backend`).
 Compiled kernels are ``nogil``, so the sweep's two-level executor can
 replay independent cells on concurrent threads (DESIGN.md §15).
 
-Entry point: :func:`~repro.sim.kernels.replay.prepare_replay_native`
-plans a cell on the calling thread and returns a
+Both batched engines plan through one entry,
+:func:`repro.sim.walk_vec.plan_replay`, whose int-list columns are
+exactly the kernels' plan arguments. Entry point:
+:func:`~repro.sim.kernels.replay.prepare_replay_native` plans a cell on
+the calling thread and returns a
 :class:`~repro.sim.kernels.replay.PreparedReplay` whose ``execute()``
 drives the kernels. The stage-2 dispatch
 (:func:`repro.sim.simulator.prepare_replay`) uses it only when the

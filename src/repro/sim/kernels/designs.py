@@ -34,8 +34,8 @@ def dmt_native_chunk(vpns, pidx, lo, hi, dplan, gaddrs, fb_row_base,
     Oracle: the scalar ``DMTWalker._run`` — register hit: each captured
     fetch group charges its slowest member sequentially; register miss:
     the attempt's cache traffic applies with cycles discarded, then the
-    radix fallback walk supplies the result (as replayed by
-    ``walk_vec._make_dmt_runner``).
+    radix fallback walk supplies the result (the vec
+    ``walk_vec._make_dmt_runner`` replays the same plan columns).
     """
     fell, dh, dfb, g_start, g_count, ga_start, ga_count, fb_pidx = dplan
     for i in range(lo, hi):
@@ -77,9 +77,8 @@ def dmt_nested_chunk(vpns, pidx, lo, hi, dplan, gaddrs, fb_plan, fb_haddrs,
                      ps, ns, cs, pwc_latency, out):
     """Replay misses ``[lo, hi)`` of DMT with a radix-*nested* fallback.
 
-    Oracle: the scalar ``DMTWalker._run`` with a 2D fallback walk, as
-    replayed by ``walk_vec._make_dmt_runner`` over a nested fallback
-    spec.
+    Oracle: the scalar ``DMTWalker._run`` with a 2D fallback walk (the
+    vec ``walk_vec._make_dmt_runner`` over a nested fallback plan).
     """
     fell, dh, dfb, g_start, g_count, ga_start, ga_count, fb_pidx = dplan
     for i in range(lo, hi):
@@ -120,18 +119,18 @@ def ops_chunk(vpns, pidx, lo, hi, base_cycles, op_start, op_count, ops,
               cand_addr, cand_crit, ws, cs, out):
     """Replay misses ``[lo, hi)`` of an op-program design (ECPT / FPT).
 
-    Oracle: ``walk_vec._make_ops_runner``'s interpreter over the scalar
-    ``WalkRecorder`` episode semantics — opcode 0 charge (closes the
+    Oracle: the scalar ``WalkRecorder`` episode semantics, as the vec
+    ``walk_vec._make_ops_runner`` interprets the same op rows — opcode 0 charge (closes the
     open group), 1 sequential fetch, 2 background probe, 3 grouped
     fetch (episode costs its slowest member), 4 ECPT probe step with
     the live cuckoo-walk-cache prediction replayed via
     :func:`~repro.sim.kernels.primitives.cwc_get`/``cwc_put``.
 
-    Op rows are ``[code, a, b, c, d, e, f]``: fetch/probe ``a`` = addr;
-    grouped ``a`` = gid, ``b`` = addr; charge ``a`` = cycles; probe
-    step ``a`` = has_hit, ``b`` = packed CWC key, ``c`` = true way,
-    ``d`` = hit addr, ``e``/``f`` = candidate start/count into
-    ``cand_addr``/``cand_crit``.
+    Op rows are ``[code, a, b, c, d, e, f]`` as laid out by
+    ``walk_vec._OpProgram``: fetch/probe ``a`` = addr; grouped ``a`` =
+    gid, ``b`` = addr; charge ``a`` = cycles; probe step ``a`` =
+    has_hit, ``b`` = packed CWC key, ``c`` = true way, ``d`` = hit addr,
+    ``e``/``f`` = candidate start/count into ``cand_addr``/``cand_crit``.
     """
     for i in range(lo, hi):
         p = pidx[i]
@@ -219,8 +218,8 @@ def agile_chunk(vpns, pidx, lo, hi, plan, haddrs, ps, ns, cs, pwc_latency,
     Oracle: the scalar ``AgileWalker.translate`` — host-PWC-probed
     shadow chain (with the dead-PTE descent quirk baked into the plan
     rows), one guest-leaf fetch, then the nested-PWC consult + host
-    chain for the data page, as replayed by
-    ``walk_vec._make_agile_runner``.
+    chain for the data page (the vec ``walk_vec._make_agile_runner``
+    replays the same plan columns).
     """
     (ch_start, ch_count, c_addr, c_fo, c_fk, c_fv, leaf_addr,
      d_idx, d_gfn, d_hfn, d_rs, d_rc) = plan
@@ -262,7 +261,8 @@ def asap_native_chunk(vpns, pidx, lo, hi, pf_start, pf_count, pf_addr,
     Oracle: the scalar ``ASAPWalker.translate`` — charge the prefetch
     accesses through the shared hierarchy (refs not counted), then the
     inner radix walk; the walk costs ``max(prefetch completion,
-    inner)``, as replayed by ``walk_vec._make_asap_runner``.
+    inner)`` (the vec ``walk_vec._make_asap_runner`` replays the same
+    plan columns).
     """
     for i in range(lo, hi):
         vpn = vpns[i]
@@ -293,7 +293,8 @@ def asap_nested_chunk(vpns, pidx, lo, hi, pf_start, pf_count, pf_addr,
 
     Oracle: the scalar nested ``ASAPWalker.translate`` — prefetch
     charging plus ``CHAIN_HOP_CYCLES`` when any prefetch issued, around
-    the inner 2D walk, as replayed by ``walk_vec._make_asap_runner``.
+    the inner 2D walk (the vec ``walk_vec._make_asap_runner`` replays
+    the same plan columns).
     """
     for i in range(lo, hi):
         vpn = vpns[i]

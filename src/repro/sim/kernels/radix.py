@@ -1,11 +1,12 @@
 """Radix-walk chunk kernels (native/shadow and nested 2D walks).
 
 The per-VPN walk helpers are shared with the DMT fallback path and the
-ASAP inner walk (:mod:`repro.sim.kernels.designs`). Plan layouts are
-flattened by :mod:`repro.sim.kernels.replay` from the same planners the
-vec engine uses, so the address streams are identical by construction;
+ASAP inner walk (:mod:`repro.sim.kernels.designs`). Plan arguments are
+the columns :func:`repro.sim.walk_vec.plan_replay` emits for both
+batched engines, so the address streams are identical by construction;
 these kernels replay only the history-dependent state (cache LRU, PWC
-tables, thinning credits) over the flat arrays.
+tables, thinning credits) over the flat arrays, exactly as the vec
+runners (``walk_vec._make_radix_runner``) replay it over live dicts.
 
 Output accumulator layout (``out``): ``[cycles, refs, fallbacks]``.
 """
@@ -79,8 +80,8 @@ def radix_native_chunk(vpns, pidx, lo, hi, row_base, chain_len, cols, ps,
 
     Oracle: the scalar ``RadixWalker.translate`` loop — PWC probe with
     credit thinning, the remaining chain fetches through the hierarchy,
-    and the PWC fills, as replayed by ``walk_vec._make_radix_runner``'s
-    radix-native ``run``.
+    and the PWC fills, as the vec radix-native ``run`` replays the same
+    plan columns.
     """
     cycles = 0
     refs = 0
@@ -100,8 +101,8 @@ def radix_nested_chunk(vpns, pidx, lo, hi, plan, haddrs, ps, ns, cs,
 
     Oracle: the scalar nested ``translate`` — guest-PWC probe, per-level
     nested-PWC consult + host chain + guest-PTE fetch + guest-PWC fill,
-    then the data page's host resolution, as replayed by
-    ``walk_vec._make_radix_runner``'s radix-nested ``run``.
+    then the data page's host resolution, as the vec radix-nested
+    ``run`` replays the same plan columns.
     """
     cycles = 0
     refs = 0

@@ -1,15 +1,17 @@
-"""The native kernel engine's entry point and plan/state flattening.
+"""The native kernel engine's entry point and state checkout.
 
 :func:`prepare_replay_native` is the third stage-2 engine, beside the
 scalar oracle and the batched (vec) engine; the stage-2 dispatch
 (:func:`repro.sim.simulator.prepare_replay`) picks it when the compiled
-backend loaded and no step collection is asked for. It reuses the vec
-engine's planners verbatim — same unique-VPN first-occurrence order, same lazy
-first-touch side effects — then flattens the plans into int64 arrays
-and replays the history-dependent state (cache LRU sets, PWC tables,
-credit counters, the ECPT cuckoo-walk cache) inside the compiled chunk
-kernels of :mod:`repro.sim.kernels.radix` /
-:mod:`repro.sim.kernels.designs` over ``array_view()`` snapshots.
+backend loaded and no step collection is asked for. It plans through
+the same entry as the vec engine (:func:`repro.sim.walk_vec.plan_replay`
+— same unique-VPN first-occurrence order, same lazy first-touch side
+effects), whose column layout is exactly the chunk kernels' plan
+arguments, so this module only wraps the columns with ``np.asarray``.
+The kernels of :mod:`repro.sim.kernels.radix` /
+:mod:`repro.sim.kernels.designs` then replay the history-dependent
+state (cache LRU sets, PWC tables, credit counters, the ECPT cuckoo-walk
+cache) over ``array_view()`` snapshots.
 
 Bit-identity contract: identical ``WalkStats`` and identical
 post-replay cache/PWC/CWC/walker state versus the scalar oracle, on
@@ -21,26 +23,21 @@ step tags, so step collection always runs on vec.
 
 **Two-phase split (thread-safety contract).** The engine is split
 into :func:`prepare_replay_native` — every GIL-bound,
-order-dependent step: vec planning with its lazy first-touch side
-effects (shadow-table extension, frame allocation, and therefore cache
-set indices), plan flattening, and the per-cell ``array_view()`` state
-checkout — and :meth:`PreparedReplay.execute`, which only drives the
-``nogil`` kernels over the state captured at prepare time and writes
-the results back to that cell's private walker/memsys objects. Prepare
-MUST run on one thread in deterministic cell order; execute may run on
-any thread, concurrently with other cells' prepares and executes,
-because after checkout a cell shares nothing mutable with the rest of
-the process (the miss stream is read-only and memmap-shared). That
-split is what lets the sweep's two-level executor overlap cell *k*'s
-kernels with cell *k+1*'s planning without giving up bit-identity.
+order-dependent step: planning with its lazy first-touch side effects
+(shadow-table extension, frame allocation, and therefore cache set
+indices) and the per-cell ``array_view()`` state checkout — and
+:meth:`PreparedReplay.execute`, which only drives the ``nogil`` kernels
+over the state captured at prepare time and writes the results back to
+that cell's private walker/memsys objects. Prepare MUST run on one
+thread in deterministic cell order; execute may run on any thread,
+concurrently with other cells' prepares and executes, because after
+checkout a cell shares nothing mutable with the rest of the process
+(the miss stream is read-only and memmap-shared). That split is what
+lets the sweep's two-level executor overlap cell *k*'s kernels with
+cell *k+1*'s planning without giving up bit-identity.
 """
 
 from __future__ import annotations
-
-import gc
-import threading
-from contextlib import contextmanager
-from typing import List
 
 import numpy as np
 
@@ -58,35 +55,15 @@ from repro.sim.kernels.designs import (
 from repro.sim.kernels.radix import radix_native_chunk, radix_nested_chunk
 from repro.translation.base import MemorySubsystem, Walker
 
+
 def _ia(seq) -> np.ndarray:
     return np.asarray(seq, dtype=np.int64)
 
 
-# ``gc.disable`` is process-global, so concurrent cell replays refcount
-# it: the first replay in pauses collection, the last one out restores
-# whatever the outermost caller had.
-_GC_LOCK = threading.Lock()
-_GC_DEPTH = 0
-_GC_REENABLE = False
-
-
-@contextmanager
-def _gc_paused():
-    """Pause the cyclic GC for a block; refcounted across threads."""
-    global _GC_DEPTH, _GC_REENABLE
-    with _GC_LOCK:
-        if _GC_DEPTH == 0:
-            _GC_REENABLE = gc.isenabled()
-            if _GC_REENABLE:
-                gc.disable()
-        _GC_DEPTH += 1
-    try:
-        yield
-    finally:
-        with _GC_LOCK:
-            _GC_DEPTH -= 1
-            if _GC_DEPTH == 0 and _GC_REENABLE:
-                gc.enable()
+def _arrays(cols) -> tuple:
+    """A plan's int-list columns as int64 arrays, nesting preserved."""
+    return tuple(_arrays(col) if isinstance(col, tuple) else _ia(col)
+                 for col in cols)
 
 
 # --------------------------------------------------------------------- #
@@ -150,11 +127,7 @@ def _npwc_state(npwc):
 
 
 def _cwc_state(cwc):
-    """CWC state bundle ``ws`` + closure; empty dummy when ``cwc=None``."""
-    if cwc is None:
-        ws = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
-              np.zeros(2, dtype=np.int64), np.zeros(2, dtype=np.int64))
-        return ws, None
+    """CWC state bundle ``ws`` + flush/writeback closure."""
     view = cwc.array_view()
     ccnt = np.zeros(2, dtype=np.int64)
     ws = (view.keys, view.ways, view.meta, ccnt)
@@ -167,211 +140,15 @@ def _cwc_state(cwc):
     return ws, finish
 
 
-# --------------------------------------------------------------------- #
-# Plan flattening (vec planners -> int64 arrays)
-# --------------------------------------------------------------------- #
-
-def _flatten_radix_native(page_table, top_level, n_offsets, uniq_ordered,
-                          cache_views):
-    slots, columns = walk_vec._build_radix_native_columns(
-        page_table, top_level, n_offsets, uniq_ordered, cache_views)
-    n = len(uniq_ordered)
-    row_base = np.empty(n, dtype=np.int64)
-    chain_len = np.empty(n, dtype=np.int64)
-    for p, vpn in enumerate(uniq_ordered):
-        base, clen = slots[vpn]
-        row_base[p] = base
-        chain_len[p] = clen
-    cols = tuple(_ia(col) for col in columns)
-    return row_base, chain_len, cols
-
-
-def _flatten_radix_nested(plans, uniq_ordered):
-    e_start: List[int] = []
-    e_count: List[int] = []
-    e_gfn: List[int] = []
-    e_hfn: List[int] = []
-    e_gpte: List[int] = []
-    e_fo: List[int] = []
-    e_fk: List[int] = []
-    e_fv: List[int] = []
-    e_rs: List[int] = []
-    e_rc: List[int] = []
-    d_idx: List[int] = []
-    d_gfn: List[int] = []
-    d_hfn: List[int] = []
-    d_rs: List[int] = []
-    d_rc: List[int] = []
-    haddrs: List[int] = []
-    chain_pos: dict = {}
-
-    def chain(hsteps):
-        pos = chain_pos.get(hsteps)
-        if pos is None:
-            pos = len(haddrs)
-            haddrs.extend(hsteps)
-            chain_pos[hsteps] = pos
-        return pos
-
-    for vpn in uniq_ordered:
-        entries, data = plans[vpn]
-        e_start.append(len(e_gfn))
-        e_count.append(len(entries))
-        for gfn, hfn, hsteps, gpte_hpa, fill, _gtag, _htags in entries:
-            e_gfn.append(gfn)
-            e_hfn.append(hfn)
-            e_gpte.append(gpte_hpa)
-            if fill is None:
-                e_fo.append(-1)
-                e_fk.append(0)
-                e_fv.append(0)
-            else:
-                offset, key, value = fill
-                e_fo.append(offset)
-                e_fk.append(key)
-                e_fv.append(value)
-            e_rs.append(chain(hsteps))
-            e_rc.append(len(hsteps))
-        if data is None:
-            d_idx.append(-1)
-        else:
-            dgfn, dhfn, dsteps, _dtags = data
-            d_idx.append(len(d_gfn))
-            d_gfn.append(dgfn)
-            d_hfn.append(dhfn)
-            d_rs.append(chain(dsteps))
-            d_rc.append(len(dsteps))
-    plan = tuple(_ia(x) for x in (
-        e_start, e_count, e_gfn, e_hfn, e_gpte, e_fo, e_fk, e_fv, e_rs,
-        e_rc, d_idx, d_gfn, d_hfn, d_rs, d_rc))
-    return plan, _ia(haddrs)
-
-
-def _flatten_dmt(plans, uniq_ordered, fallback_vpns):
-    fb_rows = {vpn: row for row, vpn in enumerate(fallback_vpns)}
-    fell: List[int] = []
-    dh: List[int] = []
-    dfb: List[int] = []
-    g_start: List[int] = []
-    g_count: List[int] = []
-    ga_start: List[int] = []
-    ga_count: List[int] = []
-    gaddrs: List[int] = []
-    fb_pidx: List[int] = []
-    for vpn in uniq_ordered:
-        fell_back, groups, d_hits, d_fallbacks = plans[vpn]
-        fell.append(1 if fell_back else 0)
-        dh.append(d_hits)
-        dfb.append(d_fallbacks)
-        g_start.append(len(ga_start))
-        g_count.append(len(groups))
-        for addrs, _tags in groups:
-            ga_start.append(len(gaddrs))
-            ga_count.append(len(addrs))
-            gaddrs.extend(addrs)
-        fb_pidx.append(fb_rows.get(vpn, -1))
-    dplan = tuple(_ia(x) for x in (
-        fell, dh, dfb, g_start, g_count, ga_start, ga_count, fb_pidx))
-    return dplan, _ia(gaddrs)
-
-
-def _flatten_ops(plans, uniq_ordered):
-    base_cycles: List[int] = []
-    op_start: List[int] = []
-    op_count: List[int] = []
-    rows: List[tuple] = []
-    cand_addr: List[int] = []
-    cand_crit: List[int] = []
-    for vpn in uniq_ordered:
-        base, ops = plans[vpn]
-        base_cycles.append(base)
-        op_start.append(len(rows))
-        op_count.append(len(ops))
-        for op in ops:
-            code = op[0]
-            if code == 3:
-                rows.append((3, op[1], op[2], 0, 0, 0, 0))
-            elif code == 4:
-                _c, has_hit, ckey, hit_way, hit_addr, _tag, cands = op
-                cstart = len(cand_addr)
-                for addr, _t, crit in cands:
-                    cand_addr.append(addr)
-                    cand_crit.append(1 if crit else 0)
-                if has_hit:
-                    enc = (ckey[1] << 6) | ckey[0]
-                    rows.append((4, 1, enc, hit_way, hit_addr, cstart,
-                                 len(cands)))
-                else:
-                    rows.append((4, 0, 0, -1, 0, cstart, len(cands)))
-            else:  # 0 charge / 1 fetch / 2 probe: one operand
-                rows.append((code, op[1], 0, 0, 0, 0, 0))
-    ops_arr = _ia(rows).reshape(-1, 7)
-    return (_ia(base_cycles), _ia(op_start), _ia(op_count), ops_arr,
-            _ia(cand_addr), _ia(cand_crit))
-
-
-def _flatten_agile(plans, uniq_ordered):
-    ch_start: List[int] = []
-    ch_count: List[int] = []
-    c_addr: List[int] = []
-    c_fo: List[int] = []
-    c_fk: List[int] = []
-    c_fv: List[int] = []
-    leaf_addr: List[int] = []
-    d_idx: List[int] = []
-    d_gfn: List[int] = []
-    d_hfn: List[int] = []
-    d_rs: List[int] = []
-    d_rc: List[int] = []
-    haddrs: List[int] = []
-    chain_pos: dict = {}
-    for vpn in uniq_ordered:
-        chain_rows, leaf, data = plans[vpn]
-        ch_start.append(len(c_addr))
-        ch_count.append(len(chain_rows))
-        for addr, _tag, fill in chain_rows:
-            c_addr.append(addr)
-            if fill is None:
-                c_fo.append(-1)
-                c_fk.append(0)
-                c_fv.append(0)
-            else:
-                offset, key, value = fill
-                c_fo.append(offset)
-                c_fk.append(key)
-                c_fv.append(value)
-        if leaf is None:
-            leaf_addr.append(-1)
-            d_idx.append(-1)
-        else:
-            leaf_addr.append(leaf[0])
-            dgfn, dhfn, dsteps, _dtags = data
-            pos = chain_pos.get(dsteps)
-            if pos is None:
-                pos = len(haddrs)
-                haddrs.extend(dsteps)
-                chain_pos[dsteps] = pos
-            d_idx.append(len(d_gfn))
-            d_gfn.append(dgfn)
-            d_hfn.append(dhfn)
-            d_rs.append(pos)
-            d_rc.append(len(dsteps))
-    plan = tuple(_ia(x) for x in (
-        ch_start, ch_count, c_addr, c_fo, c_fk, c_fv, leaf_addr,
-        d_idx, d_gfn, d_hfn, d_rs, d_rc))
-    return plan, _ia(haddrs)
-
-
-def _flatten_prefetch(pf_plans, uniq_ordered):
-    pf_start: List[int] = []
-    pf_count: List[int] = []
-    pf_addr: List[int] = []
-    for vpn in uniq_ordered:
-        addrs = pf_plans[vpn]
-        pf_start.append(len(pf_addr))
-        pf_count.append(len(addrs))
-        pf_addr.extend(addrs)
-    return _ia(pf_start), _ia(pf_count), _ia(pf_addr)
+def _radix_args(plan, memsys: MemorySubsystem, cs, finishers) -> tuple:
+    """A radix plan's kernel arguments: columns, state, PWC latency."""
+    ps, ps_fin = _pwc_state(plan.pwc)
+    finishers.append(ps_fin)
+    if plan.kind == "radix-native":
+        return _arrays(plan.cols) + (ps, cs, memsys.pwc_latency)
+    ns, ns_fin = _npwc_state(memsys.nested_pwc)
+    finishers.append(ns_fin)
+    return _arrays(plan.cols) + (ps, ns, cs, memsys.pwc_latency)
 
 
 # --------------------------------------------------------------------- #
@@ -411,7 +188,7 @@ class PreparedReplay:
         total, warmup = self._total, self._warmup
         out_warm = np.zeros(self._out_len, dtype=np.int64)
         out_meas = np.zeros(self._out_len, dtype=np.int64)
-        with _gc_paused():
+        with walk_vec.gc_paused():
             if warmup > 0:
                 self._run_range(0, warmup, out_warm)
             if warmup < total:
@@ -440,12 +217,11 @@ def prepare_replay_native(
     """Plan a native-kernel replay; the kernels run in ``execute()``.
 
     This is the sequential half of the two-phase split documented in
-    the module docstring: vec planning (lazy first-touch side effects
-    happen here, in deterministic order), plan flattening, and the
-    ``array_view()`` state checkout. The returned
-    :class:`PreparedReplay` owns thread-private state only. Raises
-    ``ValueError`` for unsupported walkers, exactly like the vec
-    engine.
+    the module docstring: planning (lazy first-touch side effects
+    happen here, in deterministic order) and the ``array_view()`` state
+    checkout. The returned :class:`PreparedReplay` owns thread-private
+    state only. Raises ``ValueError`` for unsupported walkers, exactly
+    like the vec engine.
 
     Oracle: :func:`repro.sim.simulator.replay_walks_scalar` —
     ``prepare_replay_native(...).execute()`` must return
@@ -462,7 +238,6 @@ def prepare_replay_native(
     memsys: MemorySubsystem = walker.memsys
     record_refs = memsys.record_refs
 
-    spec = walker.batch_spec()
     vas = np.asarray(miss_vas, dtype=np.int64)
     stats = WalkStats(design=walker.name, engine="native")
     if backend.UNAVAILABLE_REASON is not None:
@@ -473,88 +248,27 @@ def prepare_replay_native(
                               record_refs)
     vpns = vas >> PAGE_SHIFT
 
-    # Unique VPNs in first-occurrence order (planning must touch lazily
-    # populated structures in the scalar loop's order) + the per-miss
-    # plan-row index.
-    uniq, first_index, inverse = np.unique(
-        vpns, return_index=True, return_inverse=True)
-    order = np.argsort(first_index, kind="stable")
-    uniq_ordered = uniq[order].tolist()
-    rank = np.empty(uniq.size, dtype=np.int64)
-    rank[order] = np.arange(uniq.size, dtype=np.int64)
-    pidx = np.ascontiguousarray(rank[inverse.reshape(-1)], dtype=np.int64)
-
-    with _gc_paused():
-        cs, cache_views, cache_fin = _cache_state(memsys.caches)
+    with walk_vec.gc_paused():
+        uniq_ordered, pidx = walk_vec.first_occurrence(vpns)
+        plan = walk_vec.plan_replay(walker, uniq_ordered, False)
+        cs, _views, cache_fin = _cache_state(memsys.caches)
         finishers = [cache_fin]
-        pwc_latency = memsys.pwc_latency
-        kind = spec.kind
+        kind = plan.kind
         out_len = 3
 
         if kind in ("radix-native", "radix-nested"):
-            if kind == "radix-native":
-                pwc = memsys.pwc
-                ps, ps_fin = _pwc_state(pwc)
-                finishers.append(ps_fin)
-                row_base, chain_len, cols = _flatten_radix_native(
-                    spec.page_table, pwc.top_level, int(ps[2].shape[0]),
-                    uniq_ordered, cache_views)
-
-                def run_range(lo, hi, out):
-                    radix_native_chunk(vpns, pidx, lo, hi, row_base,
-                                       chain_len, cols, ps, cs,
-                                       pwc_latency, out)
-            else:
-                pwc = memsys.guest_pwc
-                ps, ps_fin = _pwc_state(pwc)
-                ns, ns_fin = _npwc_state(memsys.nested_pwc)
-                finishers.extend((ps_fin, ns_fin))
-                plans = walk_vec._build_radix_nested_plans(
-                    spec.guest_pt, spec.vm, pwc.top_level,
-                    int(ps[2].shape[0]), uniq_ordered, False)
-                plan, haddrs = _flatten_radix_nested(plans, uniq_ordered)
-
-                def run_range(lo, hi, out):
-                    radix_nested_chunk(vpns, pidx, lo, hi, plan, haddrs,
-                                       ps, ns, cs, pwc_latency, out)
+            kernel = (radix_native_chunk if kind == "radix-native"
+                      else radix_nested_chunk)
+            args = _radix_args(plan, memsys, cs, finishers)
 
         elif kind == "dmt":
-            plans, fallback_vpns = walk_vec._build_dmt_plans(
-                spec, uniq_ordered, False)
-            dplan, gaddrs = _flatten_dmt(plans, uniq_ordered,
-                                         fallback_vpns)
-            fb_spec = spec.fallback.batch_spec()
-            if fb_spec.kind == "radix-native":
-                pwc = memsys.pwc
-                ps, ps_fin = _pwc_state(pwc)
-                finishers.append(ps_fin)
-                fb_row_base, fb_chain_len, fb_cols = _flatten_radix_native(
-                    fb_spec.page_table, pwc.top_level,
-                    int(ps[2].shape[0]), fallback_vpns, cache_views)
-
-                def run_range(lo, hi, out):
-                    dmt_native_chunk(vpns, pidx, lo, hi, dplan, gaddrs,
-                                     fb_row_base, fb_chain_len, fb_cols,
-                                     ps, cs, pwc_latency, out)
-            else:
-                pwc = memsys.guest_pwc
-                ps, ps_fin = _pwc_state(pwc)
-                ns, ns_fin = _npwc_state(memsys.nested_pwc)
-                finishers.extend((ps_fin, ns_fin))
-                fb_plans = walk_vec._build_radix_nested_plans(
-                    fb_spec.guest_pt, fb_spec.vm, pwc.top_level,
-                    int(ps[2].shape[0]), fallback_vpns, False)
-                fb_plan, fb_haddrs = _flatten_radix_nested(
-                    fb_plans, fallback_vpns)
-
-                def run_range(lo, hi, out):
-                    dmt_nested_chunk(vpns, pidx, lo, hi, dplan, gaddrs,
-                                     fb_plan, fb_haddrs, ps, ns, cs,
-                                     pwc_latency, out)
-
-            fetcher = spec.fetcher
-            credit_targets = (spec.fallback,) + tuple(
-                fb_spec.extra_walkers)
+            kernel = (dmt_native_chunk if plan.sub.kind == "radix-native"
+                      else dmt_nested_chunk)
+            args = _arrays(plan.cols) + _radix_args(plan.sub, memsys, cs,
+                                                    finishers)
+            fetcher = plan.spec.fetcher
+            credit_targets = (plan.spec.fallback,) + tuple(
+                plan.sub.spec.extra_walkers)
 
             def dmt_fin(w, m):
                 fetcher.hits += int(w[3] + m[3])
@@ -566,113 +280,12 @@ def prepare_replay_native(
             finishers.append(dmt_fin)
             out_len = 7
 
-        elif kind in ("ecpt-native", "ecpt-nested", "fpt-native",
-                      "fpt-nested"):
-            if kind == "ecpt-native":
-                plans = walk_vec._build_ecpt_native_plans(
-                    spec, uniq_ordered, False)
-                cwc = spec.ecpt.cwc
-            elif kind == "ecpt-nested":
-                plans = walk_vec._build_ecpt_nested_plans(
-                    spec, uniq_ordered, False)
-                cwc = spec.host_ecpt.cwc  # scalar probes only this one
-            elif kind == "fpt-native":
-                plans = walk_vec._build_fpt_native_plans(
-                    spec, uniq_ordered, False)
-                cwc = None
-            else:
-                plans = walk_vec._build_fpt_nested_plans(
-                    spec, uniq_ordered, False)
-                cwc = None
-            (base_cycles, op_start, op_count, ops_arr, cand_addr,
-             cand_crit) = _flatten_ops(plans, uniq_ordered)
-            ws, ws_fin = _cwc_state(cwc)
-            if ws_fin is not None:
-                finishers.append(ws_fin)
-
-            def run_range(lo, hi, out):
-                ops_chunk(vpns, pidx, lo, hi, base_cycles, op_start,
-                          op_count, ops_arr, cand_addr, cand_crit, ws,
-                          cs, out)
-
-        elif kind == "agile":
-            pwc = memsys.pwc
-            ps, ps_fin = _pwc_state(pwc)
-            ns, ns_fin = _npwc_state(memsys.nested_pwc)
-            finishers.extend((ps_fin, ns_fin))
-            top_level = pwc.top_level
-            chain_top = min(top_level, spec.guest_pt.levels)
-            plans = walk_vec._build_agile_plans(
-                spec, top_level, int(ps[2].shape[0]), uniq_ordered, False)
-            plan, haddrs = _flatten_agile(plans, uniq_ordered)
-
-            def run_range(lo, hi, out):
-                agile_chunk(vpns, pidx, lo, hi, plan, haddrs, ps, ns, cs,
-                            pwc_latency, chain_top, top_level, out)
-
         elif kind in ("asap-native", "asap-nested"):
-            from repro.translation.asap import PREFETCH_LEVELS
-
-            inner_spec = spec.inner.batch_spec()
-            if kind == "asap-native":
-                chain_hop = 0
-                pf_plans = {
-                    vpn: tuple(step.pte_addr
-                               for step in spec.page_table.walk_steps(
-                                   vpn << PAGE_SHIFT)
-                               if step.level in PREFETCH_LEVELS)
-                    for vpn in uniq_ordered}
-                pwc = memsys.pwc
-                ps, ps_fin = _pwc_state(pwc)
-                finishers.append(ps_fin)
-                row_base, chain_len, cols = _flatten_radix_native(
-                    inner_spec.page_table, pwc.top_level,
-                    int(ps[2].shape[0]), uniq_ordered, cache_views)
-                pf_start, pf_count, pf_addr = _flatten_prefetch(
-                    pf_plans, uniq_ordered)
-
-                def run_range(lo, hi, out):
-                    asap_native_chunk(vpns, pidx, lo, hi, pf_start,
-                                      pf_count, pf_addr, row_base,
-                                      chain_len, cols, ps, cs,
-                                      pwc_latency, chain_hop, out)
-            else:
-                chain_hop = walker.CHAIN_HOP_CYCLES
-                guest_pt = spec.guest_pt
-                gpa_to_hpa = spec.vm.gpa_to_hpa
-                ept = spec.vm.ept
-                pf_plans = {}
-
-                def prefetcher(gva):
-                    addrs = []
-                    for step in guest_pt.walk_steps(gva):
-                        if step.level not in PREFETCH_LEVELS:
-                            continue
-                        addrs.append(gpa_to_hpa(step.pte_addr))
-                        for ept_step in ept.walk_steps(step.pte_addr):
-                            if ept_step.level in PREFETCH_LEVELS:
-                                addrs.append(ept_step.pte_addr)
-                    return tuple(addrs)
-
-                pwc = memsys.guest_pwc
-                ps, ps_fin = _pwc_state(pwc)
-                ns, ns_fin = _npwc_state(memsys.nested_pwc)
-                finishers.extend((ps_fin, ns_fin))
-                plans = walk_vec._build_radix_nested_plans(
-                    inner_spec.guest_pt, inner_spec.vm, pwc.top_level,
-                    int(ps[2].shape[0]), uniq_ordered, False,
-                    prefetcher=prefetcher, prefetch_out=pf_plans)
-                plan, haddrs = _flatten_radix_nested(plans, uniq_ordered)
-                pf_start, pf_count, pf_addr = _flatten_prefetch(
-                    pf_plans, uniq_ordered)
-
-                def run_range(lo, hi, out):
-                    asap_nested_chunk(vpns, pidx, lo, hi, pf_start,
-                                      pf_count, pf_addr, plan, haddrs,
-                                      ps, ns, cs, pwc_latency, chain_hop,
-                                      out)
-
-            inner = spec.inner
+            kernel = (asap_native_chunk if plan.sub.kind == "radix-native"
+                      else asap_nested_chunk)
+            args = _arrays(plan.cols) + _radix_args(
+                plan.sub, memsys, cs, finishers) + (plan.chain_hop,)
+            inner = plan.spec.inner
 
             def asap_fin(w, m):
                 inner.walks += int(w[3] + m[3])
@@ -682,10 +295,28 @@ def prepare_replay_native(
             finishers.append(asap_fin)
             out_len = 6
 
-        else:  # pragma: no cover - guarded by unsupported_reason
-            raise ValueError(f"unknown batch-spec kind {kind!r}")
+        elif kind == "agile":
+            kernel = agile_chunk
+            ps, ps_fin = _pwc_state(plan.pwc)
+            ns, ns_fin = _npwc_state(memsys.nested_pwc)
+            finishers.extend((ps_fin, ns_fin))
+            args = _arrays(plan.cols) + (ps, ns, cs, memsys.pwc_latency,
+                                         plan.chain_top, plan.pwc.top_level)
+
+        else:  # ECPT / FPT op programs
+            kernel = ops_chunk
+            base_cycles, op_start, op_count, ops, cand_addr, cand_crit = \
+                plan.cols
+            ws, ws_fin = _cwc_state(memsys.cwc)
+            finishers.append(ws_fin)
+            args = (_ia(base_cycles), _ia(op_start), _ia(op_count),
+                    _ia(ops).reshape(-1, walk_vec.OP_WIDTH), _ia(cand_addr),
+                    _ia(cand_crit), ws, cs)
+
+    def run_range(lo, hi, out):
+        kernel(vpns, pidx, lo, hi, *args, out)
 
     warmup = int(total * warmup_fraction)
     return PreparedReplay(stats, total, warmup, out_len, run_range,
-                          finishers, walker, tuple(spec.extra_walkers),
+                          finishers, walker, tuple(plan.spec.extra_walkers),
                           record_refs)

@@ -16,7 +16,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.arch import PageSize
 from repro.hw.cache import CacheHierarchy
 from repro.hw.config import MachineConfig
-from repro.hw.pwc import NestedPWC, PageWalkCache
+from repro.hw.pwc import CuckooWalkCache, NestedPWC, PageWalkCache
 from repro.obs import metrics
 
 
@@ -78,7 +78,7 @@ def pwc_accept_rates(pwc_config, ws_bytes: int, paper_ws_bytes: int):
 
 
 class MemorySubsystem:
-    """Page-table-side memory system: PTE caches + PWC + nested PWC."""
+    """Page-table-side memory system: PTE caches + PWC + nested PWC + CWC."""
 
     def __init__(self, machine: MachineConfig, levels: int = 4,
                  record_refs: bool = True,
@@ -99,6 +99,8 @@ class MemorySubsystem:
             machine.nested_pwc,
             accept_rate=npwc_rate if npwc_rate is not None else 1.0,
         )
+        #: ECPT's way predictor, per walker like the PWCs.
+        self.cwc = CuckooWalkCache()
         self.pwc_latency = machine.pwc.latency
         #: When False, walkers skip building per-reference MemRef lists
         #: (bulk simulation mode; Figure 16 turns it back on).
@@ -109,6 +111,7 @@ class MemorySubsystem:
         self.pwc.flush()
         self.guest_pwc.flush()
         self.nested_pwc.flush()
+        self.cwc.flush()
 
 
 class WalkRecorder:

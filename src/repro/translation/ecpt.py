@@ -20,10 +20,7 @@ pvDMT's two direct references avoid (§3.1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
-
-import numpy as np
 
 from repro.arch import PAGE_SHIFT, PAGE_SIZE, PageSize
 from repro.kernel.page_table import PTE_PRESENT, make_pte, pte_frame
@@ -259,91 +256,12 @@ class CuckooTable:
         return self.ways * self._way_pages() * PAGE_SIZE
 
 
-class CuckooWalkCache:
-    """Way prediction (ECPT's Cuckoo Walk Tables/Caches).
-
-    Caches which way of which size table holds a VPN group, so most
-    lookups issue a single probe instead of ways x sizes parallel ones.
-    LRU over (page-size, group) keys.
-    """
-
-    def __init__(self, capacity: int = 16384):
-        self.capacity = capacity
-        self._entries: Dict[Tuple[int, int], int] = {}
-        self.hits = 0
-        self.misses = 0
-
-    def get(self, size: int, group: int) -> Optional[int]:
-        key = (size, group)
-        way = self._entries.pop(key, None)
-        if way is None:
-            self.misses += 1
-            return None
-        self._entries[key] = way
-        self.hits += 1
-        return way
-
-    def put(self, size: int, group: int, way: int) -> None:
-        key = (size, group)
-        if key in self._entries:
-            self._entries.pop(key)
-        elif len(self._entries) >= self.capacity:
-            self._entries.pop(next(iter(self._entries)))
-        self._entries[key] = way
-
-    def array_view(self) -> "CWCArrayView":
-        """Flat ndarray state copy for the native kernel engine.
-
-        See :class:`CWCArrayView` for the key encoding and the
-        writeback contract.
-        """
-        keys = np.full(self.capacity, -1, dtype=np.int64)
-        ways = np.full(self.capacity, -1, dtype=np.int64)
-        for slot, ((size, group), way) in enumerate(self._entries.items()):
-            keys[slot] = (group << 6) | size
-            ways[slot] = way
-        return CWCArrayView(
-            keys=keys,
-            ways=ways,
-            meta=np.array([len(self._entries), self.capacity],
-                          dtype=np.int64),
-            owner=self,
-        )
-
-
-@dataclass
-class CWCArrayView:
-    """Flat ndarray snapshot of a :class:`CuckooWalkCache` (native kernels).
-
-    The ``(size, group)`` key tuples are packed into one int64 as
-    ``(group << 6) | size`` — ``size`` is a page-size shift (12/21/30),
-    well under 64, and groups of 48-bit VAs leave ample headroom. Same
-    copy/writeback contract as the cache/PWC array views: mutate the
-    arrays, then call :meth:`writeback` exactly once; hit/miss counters
-    are accumulated by the kernels and flushed separately.
-    """
-
-    keys: np.ndarray      # int64[capacity], LRU order oldest first, -1 empty
-    ways: np.ndarray      # int64[capacity]
-    meta: np.ndarray      # int64[2]: [live entries, capacity]
-    owner: "CuckooWalkCache"
-
-    def writeback(self) -> None:
-        count = int(self.meta[0])
-        self.owner._entries = {
-            (int(self.keys[k]) & 63, int(self.keys[k]) >> 6):
-            int(self.ways[k])
-            for k in range(count)
-        }
-
-
 class ElasticCuckooPageTables:
     """The per-address-space set of cuckoo tables (one per page size)."""
 
     def __init__(self, memory: PhysicalMemory, ways: int = 3,
                  initial_buckets: int = 128):
         self.memory = memory
-        self.cwc = CuckooWalkCache()
         self.tables: Dict[PageSize, CuckooTable] = {
             size: CuckooTable(
                 memory, size, ways=ways,
@@ -401,7 +319,8 @@ def _probe_step(ecpt: "ElasticCuckooPageTables", va: int,
                 rec: WalkRecorder, tag: str) -> None:
     """One probe step of an ECPT lookup.
 
-    The Cuckoo Walk Cache predicts the resident (size, way): on a CWC hit
+    The walker's Cuckoo Walk Cache (``rec.memsys.cwc``) predicts the
+    resident (size, way): on a CWC hit
     a single probe is issued. On a CWC miss, all ways of all size tables
     are probed in parallel; the translation completes when the *hitting*
     probe returns, so only that access is on the critical path — the
@@ -418,12 +337,12 @@ def _probe_step(ecpt: "ElasticCuckooPageTables", va: int,
             break
     if hit_addr is not None:
         group = (va >> int(hit_size)) >> 3
-        predicted = ecpt.cwc.get(int(hit_size), group)
+        predicted = rec.memsys.cwc.get(int(hit_size), group)
         if predicted == hit_way:
             # CWC hit: single targeted probe
             rec.fetch(hit_addr, f"{tag}-{hit_size.name}")
             return
-        ecpt.cwc.put(int(hit_size), group, hit_way)
+        rec.memsys.cwc.put(int(hit_size), group, hit_way)
     hit_line = hit_addr >> 6 if hit_addr is not None else None
     fetched_hit = False
     for addr, probe_size, vpn in ecpt.candidate_probes(va):

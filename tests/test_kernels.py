@@ -19,6 +19,7 @@ import pytest
 from repro.arch import PAGE_SHIFT
 from repro.hw.cache import CacheHierarchy
 from repro.hw.config import xeon_gold_6138
+from repro.hw.pwc import CuckooWalkCache, cwc_key
 from repro.sim.artifacts import ArtifactCache
 from repro.sim.kernels import (
     BACKEND,
@@ -30,7 +31,6 @@ from repro.sim.kernels import (
 from repro.sim.kernels import designs, primitives, radix
 from repro.sim.kernels.replay import _cache_state, _cwc_state, _pwc_state
 from repro.sim.machine import ENVIRONMENTS, SimConfig
-from repro.translation.ecpt import CuckooWalkCache
 
 
 def _hierarchy():
@@ -155,12 +155,12 @@ def test_cwc_primitives_match_oracle():
         group = int(rng.integers(0, 100))
         if i % 2 == 0:
             way = oracle.get(size, group)
-            got = primitives.cwc_get(ws, (group << 6) | size)
+            got = primitives.cwc_get(ws, cwc_key(size, group))
             assert got == (-1 if way is None else way)
         else:
             way = int(rng.integers(0, 8))
             oracle.put(size, group, way)
-            primitives.cwc_put(ws, (group << 6) | size, way)
+            primitives.cwc_put(ws, cwc_key(size, group), way)
     finish(None, None)
     assert tuple(subject._entries.items()) == tuple(oracle._entries.items())
     assert (subject.hits, subject.misses) == (oracle.hits, oracle.misses)

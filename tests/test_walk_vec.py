@@ -30,7 +30,7 @@ from repro.sim.simulator import (
     replay_walks_scalar,
 )
 from repro.sim.sweep import GroupTask, run_group
-from repro.sim.walk_vec import replay_walks_vec, supports
+from repro.sim.walk_vec import replay_walks_vec, unsupported_reason
 
 #: Both batched stage-2 engines; the parity suite runs each against the
 #: scalar oracle.
@@ -112,20 +112,15 @@ def _walker_counters(walker):
 
 
 def _design_state(walker):
-    """Mutable design-side state outside the memory subsystem.
+    """Design-side state: the ECPT way predictor and ASAP's counters.
 
-    ECPT's cuckoo-walk cache is LRU-ordered like the cache sets, so its
-    entry *order* is part of the snapshot; ASAP keeps a prefetch count
-    plus a full inner radix walker whose counters the batched path must
-    reproduce.
+    The walker's cuckoo-walk cache is LRU-ordered like the cache sets,
+    so its entry *order* is part of the snapshot; ASAP keeps a prefetch
+    count plus a full inner radix walker whose counters the batched
+    path must reproduce.
     """
-    state = {}
-    for attr in ("ecpt", "guest_ecpt", "host_ecpt"):
-        tables = getattr(walker, attr, None)
-        if tables is not None:
-            cwc = tables.cwc
-            state[attr] = (tuple(cwc._entries.items()),
-                           cwc.hits, cwc.misses)
+    cwc = walker.memsys.cwc
+    state = {"cwc": (tuple(cwc._entries.items()), cwc.hits, cwc.misses)}
     if hasattr(walker, "prefetches"):
         state["prefetches"] = walker.prefetches
     inner = getattr(walker, "_walker", None)
@@ -170,7 +165,8 @@ def _assert_parity(walker_scalar, walker_vec, miss_vas, engine="vec"):
 def test_vec_replay_matches_scalar_oracle(env, design, thp, seed, engine):
     config = _config(thp=thp, seed=seed)
     walker_scalar, walker_vec, miss_vas = _build_pair(env, design, config)
-    assert supports(walker_scalar) and supports(walker_vec)
+    assert unsupported_reason(walker_scalar) is None
+    assert unsupported_reason(walker_vec) is None
     stats = _assert_parity(walker_scalar, walker_vec, miss_vas,
                            engine=engine)
     assert stats.walks > 0 and stats.ref_count > 0
@@ -234,14 +230,12 @@ def test_auto_engine_falls_back_to_scalar():
     to the scalar oracle, bit-identically, and record why; the vec
     engine called directly must refuse with the same reason."""
     from repro.analysis import sanitizer
-    from repro.sim.walk_vec import unsupported_reason
 
     try:
         sim_oracle, sim = _sanitized_native_sim(), _sanitized_native_sim()
         walker = sim.walker("vanilla")
-        assert not supports(walker)
         reason = unsupported_reason(walker)
-        assert "sanitizer" in reason
+        assert reason is not None and "sanitizer" in reason
         stats = replay_walks(walker, sim.tlb.miss_vas[:64])
         assert stats.engine == "scalar"
         assert stats.fallback_reason == reason
@@ -378,3 +372,102 @@ def test_run_group_reports_stage1_reuse_telemetry(tmp_path):
     warm = run_group(task)
     assert warm[0]["stage1_source"] == "disk"
     assert warm[0]["mean_latency"] == cells[0]["mean_latency"]
+
+
+@pytest.mark.parametrize("env,design", SUPPORTED)
+def test_step_collecting_rerun_repeats_the_plain_run(env, design):
+    """A second replay of one design in the same simulation starts from
+    the same per-walker state as the first: the MMU caches, including
+    ECPT's cuckoo-walk cache, belong to the walker's memory subsystem,
+    not to the shared translation structures."""
+    sim = ENVIRONMENTS[env]("GUPS", _config(seed=3))
+    plain = sim.run(design)
+    rerun = sim.run(design, collect_steps=True)
+    assert (rerun.walks, rerun.total_cycles, rerun.fallbacks) == \
+        (plain.walks, plain.total_cycles, plain.fallbacks)
+
+
+def test_first_occurrence_rows_follow_first_touch():
+    """Plan rows are the unique VPNs in first-occurrence order, and each
+    miss's row names its own VPN (the scalar loop's touch order)."""
+    from repro.sim.walk_vec import first_occurrence
+
+    vpns = np.array([7, 3, 7, 9, 3, 3, 1, 9, 0], dtype=np.int64)
+    uniq, pidx = first_occurrence(vpns)
+    assert uniq == list(dict.fromkeys(vpns.tolist()))
+    assert pidx.dtype == np.int64
+    assert [uniq[p] for p in pidx.tolist()] == vpns.tolist()
+
+
+def test_both_engines_plan_through_one_entry(monkeypatch):
+    """The vec and native engines take every batch-spec kind's plan from
+    ``plan_replay``, so a design's plan layout is written once."""
+    from repro.sim import walk_vec
+
+    kinds = {"vec": [], "native": []}
+    engine = ["vec"]
+    plan_replay = walk_vec.plan_replay
+
+    def recording(walker, uniq_vpns, collect):
+        plan = plan_replay(walker, uniq_vpns, collect)
+        kinds[engine[0]].append(plan.kind)
+        return plan
+
+    monkeypatch.setattr(walk_vec, "plan_replay", recording)
+    config = _config()
+    for env in ("native", "virt"):
+        designs = [d for e, d in SUPPORTED if e == env]
+        sims = {name: ENVIRONMENTS[env]("GUPS", config)
+                for name in ("vec", "native")}
+        for design in designs:
+            engine[0] = "vec"
+            replay_walks_vec(sims["vec"].walker(design),
+                             sims["vec"].tlb.miss_vas[:64])
+            engine[0] = "native"
+            prepare_replay_native(sims["native"].walker(design),
+                                  sims["native"].tlb.miss_vas[:64])
+    assert kinds["vec"] == kinds["native"]
+    assert set(kinds["vec"]) == {
+        "radix-native", "radix-nested", "dmt", "ecpt-native", "ecpt-nested",
+        "fpt-native", "fpt-nested", "agile", "asap-native", "asap-nested"}
+
+
+def test_gc_pause_is_shared_by_both_engines(monkeypatch):
+    """One refcounted guard: a vec replay that ends while a native cell
+    executes on another thread must leave collection paused until that
+    cell is done too."""
+    import gc
+    import threading
+
+    from repro.sim import walk_vec
+
+    entered, release = threading.Event(), threading.Event()
+
+    def native_execute():   # PreparedReplay.execute holds the same guard
+        with walk_vec.gc_paused():
+            entered.set()
+            release.wait(timeout=60)
+
+    worker = threading.Thread(target=native_execute, daemon=True)
+    plan_replay = walk_vec.plan_replay
+
+    def plan_then_start_native(walker, uniq_vpns, collect):
+        worker.start()
+        assert entered.wait(timeout=30)
+        return plan_replay(walker, uniq_vpns, collect)
+
+    monkeypatch.setattr(walk_vec, "plan_replay", plan_then_start_native)
+    sim = ENVIRONMENTS["native"]("GUPS", _config())
+    was_enabled = gc.isenabled()
+    gc.enable()
+    try:
+        replay_walks_vec(sim.walker("vanilla"), sim.tlb.miss_vas[:64])
+        assert not gc.isenabled(), "the vec replay re-enabled collection"
+        release.set()
+        worker.join(timeout=30)
+        assert not worker.is_alive()
+        assert gc.isenabled()
+    finally:
+        release.set()
+        if not was_enabled:
+            gc.disable()
