@@ -18,11 +18,13 @@ exactly the kernels' plan arguments. Entry point:
 the calling thread and returns a
 :class:`~repro.sim.kernels.replay.PreparedReplay` whose ``execute()``
 drives the kernels. The stage-2 dispatch
-(:func:`repro.sim.simulator.prepare_replay`) uses it only when the
-compiled backend loaded (``HAVE_NUMBA``) and no step collection is
-asked for; without Numba the uncompiled kernels run only when tests
-call them directly, as the parity oracle for kernel logic. DESIGN.md
-§11 documents the architecture and the array-view writeback contract.
+(:func:`repro.sim.simulator.prepare_replay`) uses it whenever the
+compiled backend loaded (``HAVE_NUMBA``) and the cell batches at all —
+a step-collecting replay runs on the scalar oracle, since neither
+batched engine records steps; without Numba the uncompiled kernels run
+only when tests call them directly, as the parity oracle for kernel
+logic. DESIGN.md §11 documents the architecture and the array-view
+writeback contract.
 """
 
 from repro.sim.kernels.backend import (  # noqa: F401

@@ -3,11 +3,12 @@
 :func:`prepare_replay_native` is the third stage-2 engine, beside the
 scalar oracle and the batched (vec) engine; the stage-2 dispatch
 (:func:`repro.sim.simulator.prepare_replay`) picks it when the compiled
-backend loaded and no step collection is asked for. It plans through
-the same entry as the vec engine (:func:`repro.sim.walk_vec.plan_replay`
-— same unique-VPN first-occurrence order, same lazy first-touch side
-effects), whose column layout is exactly the chunk kernels' plan
-arguments, so this module only wraps the columns with ``np.asarray``.
+backend loaded and the cell batches (a step-collecting replay runs on
+the scalar oracle instead). It plans through the same entry as the vec
+engine (:func:`repro.sim.walk_vec.plan_replay` — same unique-VPN
+first-occurrence order, same lazy first-touch side effects), whose
+column layout is exactly the chunk kernels' plan arguments, so this
+module only wraps the columns with ``np.asarray``.
 The kernels of :mod:`repro.sim.kernels.radix` /
 :mod:`repro.sim.kernels.designs` then replay the history-dependent
 state (cache LRU sets, PWC tables, credit counters, the ECPT cuckoo-walk
@@ -18,8 +19,9 @@ post-replay cache/PWC/CWC/walker state versus the scalar oracle, on
 both backends (``tests/test_walk_vec.py`` parametrizes the parity
 suite over the vec and native engines, calling this module directly,
 so the uncompiled kernels stay the parity oracle for kernel logic; the
-no-numba CI leg pins the pure-Python backend). The kernels carry no
-step tags, so step collection always runs on vec.
+no-numba CI leg pins the pure-Python backend). Like the vec engine,
+the kernels record no steps: step collection always runs on the scalar
+oracle.
 
 **Two-phase split (thread-safety contract).** The engine is split
 into :func:`prepare_replay_native` — every GIL-bound,
@@ -250,7 +252,7 @@ def prepare_replay_native(
 
     with walk_vec.gc_paused():
         uniq_ordered, pidx = walk_vec.first_occurrence(vpns)
-        plan = walk_vec.plan_replay(walker, uniq_ordered, False)
+        plan = walk_vec.plan_replay(walker, uniq_ordered)
         cs, _views, cache_fin = _cache_state(memsys.caches)
         finishers = [cache_fin]
         kind = plan.kind

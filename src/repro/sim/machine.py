@@ -96,6 +96,14 @@ def _is_pow2(value: int) -> bool:
     return value > 0 and value & (value - 1) == 0
 
 
+#: :class:`SimConfig` fields that change how a run executes but never a
+#: replayed cell's result, so the stage-2 result-cache key leaves them
+#: out: the sanitizer only checks invariants, and streaming is
+#: bit-identical to the monolithic stage-0→1 path (DESIGN.md §13).
+#: Every other field is part of the key.
+RUNTIME_KNOBS = frozenset({"sanitize", "stream_chunk"})
+
+
 @dataclass
 class SimConfig:
     """Knobs for one simulation run."""
@@ -433,32 +441,21 @@ class _SimulationBase:
     def _stage2_key(self, design: str, collect_steps: bool) -> list:
         """Stage-2 result-cache key: everything a replayed cell depends on.
 
-        The miss-stream digest subsumes the stage-1 knobs (stream_chunk
-        is bit-identical by contract and pinned by test); the stage-2
-        engine is deliberately absent because all engines are
+        The config part is every :class:`SimConfig` field except the
+        :data:`RUNTIME_KNOBS`, plus the workload, so a new field joins
+        the key without an edit here. The miss-stream digest subsumes
+        the stage-1 knobs; the stage-2 engine is deliberately absent because all engines are
         bit-identical on supported designs, so cells cached by one
         engine serve the others. The cost-model version constant
         invalidates every cached cell when calibrated latencies change.
         """
-        cfg = self.config
+        config = {name: value
+                  for name, value in dataclasses.asdict(self.config).items()
+                  if name not in RUNTIME_KNOBS}
+        config["workload"] = self.workload.name
         return [
             self.env_name, design, bool(collect_steps),
-            self._miss_digest(),
-            {
-                "workload": self.workload.name,
-                "scale": cfg.scale,
-                "nrefs": cfg.nrefs,
-                "seed": cfg.seed,
-                "thp": cfg.thp,
-                "levels": cfg.levels,
-                "register_count": cfg.register_count,
-                "bubble_threshold": cfg.bubble_threshold,
-                "warmup_fraction": cfg.warmup_fraction,
-                "record_refs": cfg.record_refs,
-                "scale_mmu_caches": cfg.scale_mmu_caches,
-                "machine": dataclasses.asdict(cfg.machine),
-            },
-            core_costs.COST_MODEL_VERSION,
+            self._miss_digest(), config, core_costs.COST_MODEL_VERSION,
         ]
 
     def _fetch_stage2(self, design: str,
@@ -960,6 +957,7 @@ class NestedSimulation(_SimulationBase):
         self.l0_dmt = DMTLinux(
             self.host_kernel, register_set=RegisterSet.NATIVE,
             register_count=cfg.register_count,
+            bubble_threshold=cfg.bubble_threshold,
         )
         self.nested = NestedSetup(self.host_kernel, l1_bytes, l2_bytes,
                                   thp_enabled=cfg.thp, levels=cfg.levels)
@@ -977,6 +975,7 @@ class NestedSimulation(_SimulationBase):
             register_file=self.l0_dmt.register_file,
             environment=MgmtEnv.VIRTUALIZED,
             register_count=cfg.register_count,
+            bubble_threshold=cfg.bubble_threshold,
             tea_allocator=self.pv_l1_alloc,
         )
         self.l1_dmt.attach_ept(l2_vm, host_thp=cfg.thp)
@@ -990,6 +989,7 @@ class NestedSimulation(_SimulationBase):
             register_file=self.l0_dmt.register_file,
             environment=MgmtEnv.NESTED,
             register_count=cfg.register_count,
+            bubble_threshold=cfg.bubble_threshold,
             tea_allocator=self.pv_l2_alloc,
         )
 

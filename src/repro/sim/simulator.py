@@ -21,12 +21,13 @@ kernels of :mod:`repro.sim.kernels`. No setting picks between them;
 :func:`prepare_replay` derives the engine from facts it can see, by one
 rule:
 
-* the sanitizer is active or the walker has no batched path
-  (:func:`repro.sim.walk_vec.unsupported_reason` names why) → scalar,
-  with that reason recorded as ``WalkStats.fallback_reason``;
-* the compiled kernel backend loaded and no step collection was asked
-  for → native, planned at prepare time and safe to execute on a worker
-  thread;
+* the sanitizer is active, the walker has no batched path
+  (:func:`repro.sim.walk_vec.unsupported_reason` names why), or the
+  Figure 16 step breakdown was asked for (``collect_steps``: only the
+  oracle records per-step latencies) → scalar, with the reason recorded
+  as ``WalkStats.fallback_reason``;
+* the compiled kernel backend loaded → native, planned at prepare time
+  and safe to execute on a worker thread;
 * otherwise → vec.
 
 :func:`replay_walks` is prepare-then-execute on the calling thread.
@@ -203,8 +204,9 @@ class WalkStats:
     #: tests can compare the engines' WalkStats directly.
     engine: str = field(default="scalar", compare=False)
     #: Why the replay ran on the scalar loop (the
-    #: :func:`repro.sim.walk_vec.unsupported_reason` string), or None
-    #: when a batched engine ran. Telemetry only, like ``engine``.
+    #: :func:`repro.sim.walk_vec.unsupported_reason` string or
+    #: :data:`STEP_COLLECTION_REASON`), or None when a batched engine
+    #: ran. Telemetry only, like ``engine``.
     fallback_reason: Optional[str] = field(default=None, compare=False)
 
     @property
@@ -226,6 +228,11 @@ class WalkStats:
             for tag, (total, count) in self.step_cycles.items()
         }
 
+
+#: The ``fallback_reason`` of a step-collecting replay: the batched
+#: engines replay only, so the Figure 16 breakdown runs on the oracle.
+STEP_COLLECTION_REASON = ("step collection: only the scalar oracle "
+                          "records per-step latencies")
 
 #: Misses converted per chunk by the scalar replay loop: slices convert
 #: through ``.tolist()`` piecewise instead of materializing the whole
@@ -324,15 +331,16 @@ def prepare_replay(
     from repro.sim.kernels import HAVE_NUMBA, prepare_replay_native
 
     reason = walk_vec.unsupported_reason(walker)
-    if reason is None and HAVE_NUMBA and not collect_steps:
+    if reason is None and collect_steps:
+        reason = STEP_COLLECTION_REASON
+    if reason is None and HAVE_NUMBA:
         return prepare_replay_native(
             walker, miss_vas, warmup_fraction=warmup_fraction).execute, True
 
     def execute() -> WalkStats:
         if reason is None:
             return walk_vec.replay_walks_vec(
-                walker, miss_vas, warmup_fraction=warmup_fraction,
-                collect_steps=collect_steps)
+                walker, miss_vas, warmup_fraction=warmup_fraction)
         stats = replay_walks_scalar(walker, miss_vas, warmup_fraction,
                                     collect_steps)
         stats.fallback_reason = reason

@@ -17,16 +17,21 @@ replacement, following the :mod:`repro.sim.tlb_vec` pattern:
    Plans are flat columns of Python ints indexed by plan row — exactly
    the plan arguments of the native chunk kernels
    (:mod:`repro.sim.kernels`), which take the same plan through
-   ``np.asarray``. Step tags ride in separate columns, built only when
-   steps are collected.
+   ``np.asarray``.
 2. **Chunked state machine**: the sequential, history-dependent state —
    PTE-cache LRU sets, PWC/nested-PWC LRU tables, credit-counter
    thinning — runs in a tight chunked loop over the live flat dicts
    exposed by ``batch_view()`` (:mod:`repro.hw.cache`,
    :mod:`repro.hw.pwc`). Every LRU touch, install, eviction, and
    float credit update replicates the scalar operation in the scalar
-   order, so cycles, ref counts, fallbacks, step breakdowns, and the
-   post-replay cache/PWC state are **bit-identical** to the oracle.
+   order, so cycles, ref counts, fallbacks, and the post-replay
+   cache/PWC state are **bit-identical** to the oracle.
+
+The engine has one job, plain replay. The Figure 16 per-step breakdown
+(``collect_steps``) comes from the scalar oracle alone: the stage-2
+dispatch resolves a step-collecting replay to
+:func:`repro.sim.simulator.replay_walks_scalar`, so no plan carries step
+tags and no runner records steps.
 
 Supported walkers (via :meth:`~repro.translation.base.Walker.batch_spec`):
 radix native/shadow, radix nested, every DMT/pvDMT variant (register
@@ -41,11 +46,11 @@ inner radix plan, with the completion-max cost model). ECPT and FPT
 plans compile to a small per-VPN op program (fetch / background probe /
 parallel group / CWC-predicted probe step, :class:`_OpProgram`)
 replayed by one interpreter that reproduces ``WalkRecorder`` group
-episodes and the scalar step collapsing bit-for-bit;
+episodes bit-for-bit;
 ``tests/test_walk_vec.py`` pins parity for every design.
 
 :func:`unsupported_reason` names why a walker cannot batch (sanitized
-run, missing spec, non-standard hierarchy); the stage-2 dispatch
+run or missing spec); the stage-2 dispatch
 (:func:`repro.sim.simulator.prepare_replay`) then runs the scalar loop
 and records it as ``WalkStats.fallback_reason`` instead of silently
 reporting a scalar replay.
@@ -101,78 +106,17 @@ _NEXT = object()    # interior PTE: payload is the next table's address
 def unsupported_reason(walker: Walker) -> Optional[str]:
     """Why ``walker`` cannot take the batched path, or None if it can.
 
-    The reasons are the genuine fallback conditions left after every
-    design gained a planner: sanitized runs (the sanitizer hooks the
-    scalar structures), walkers exposing no
-    :meth:`~repro.translation.base.Walker.batch_spec`, non-standard
-    cache hierarchies (the inlined access path is unrolled for the
-    3-level PTE-side hierarchy of Table 3), and specs missing the
-    structures their planner needs. The stage-2 dispatch records this
-    string as ``WalkStats.fallback_reason``.
+    Every design has a planner, so the only fallbacks left are a
+    sanitized run (the sanitizer hooks the scalar structures) and a
+    walker exposing no :meth:`~repro.translation.base.Walker.batch_spec`.
+    The stage-2 dispatch records this string as
+    ``WalkStats.fallback_reason``.
     """
     if sanitizer.active():
         return "sanitizer active: batched replay bypasses its hooks"
-    return _spec_reason(walker.batch_spec(), walker.memsys)
-
-
-def _spec_reason(spec: Optional[BatchSpec],
-                 memsys: MemorySubsystem) -> Optional[str]:
-    if spec is None:
+    if walker.batch_spec() is None:
         return "walker exposes no batch spec"
-    if len(memsys.caches.levels) != 3:
-        return (f"{len(memsys.caches.levels)}-level PTE cache hierarchy "
-                "(batched access path is unrolled for 3 levels)")
-    kind = spec.kind
-    if kind == "radix-native":
-        return None if spec.page_table is not None \
-            else "radix-native spec lacks a page table"
-    if kind == "radix-nested":
-        if spec.guest_pt is None or spec.vm is None:
-            return "radix-nested spec lacks a guest page table or VM"
-        return None
-    if kind == "dmt":
-        if spec.attempt is None or spec.fetcher is None \
-                or spec.fallback is None:
-            return "dmt spec lacks an attempt, fetcher, or fallback walker"
-        fallback_spec = spec.fallback.batch_spec()
-        if fallback_spec is None or fallback_spec.kind not in (
-                "radix-native", "radix-nested"):
-            return "dmt fallback walker has no batched radix plan"
-        reason = _spec_reason(fallback_spec, memsys)
-        return f"dmt fallback: {reason}" if reason else None
-    if kind == "ecpt-native":
-        return None if spec.ecpt is not None \
-            else "ecpt-native spec lacks the cuckoo tables"
-    if kind == "ecpt-nested":
-        if spec.ecpt is None or spec.host_ecpt is None or spec.vm is None:
-            return "ecpt-nested spec lacks guest/host cuckoo tables or VM"
-        return None
-    if kind == "fpt-native":
-        return None if spec.fpt is not None \
-            else "fpt-native spec lacks the flattened table"
-    if kind == "fpt-nested":
-        if spec.fpt is None or spec.host_fpt is None or spec.vm is None:
-            return "fpt-nested spec lacks guest/host flattened tables or VM"
-        return None
-    if kind == "agile":
-        if spec.guest_pt is None or spec.spt is None or spec.vm is None:
-            return "agile spec lacks the guest table, shadow table, or VM"
-        return None
-    if kind in ("asap-native", "asap-nested"):
-        if spec.inner is None:
-            return f"{kind} spec lacks the inner radix walker"
-        if kind == "asap-native" and spec.page_table is None:
-            return "asap-native spec lacks a page table"
-        if kind == "asap-nested" and (spec.guest_pt is None
-                                      or spec.vm is None):
-            return "asap-nested spec lacks a guest page table or VM"
-        inner_spec = spec.inner.batch_spec()
-        expected = "radix-native" if kind == "asap-native" else "radix-nested"
-        if inner_spec is None or inner_spec.kind != expected:
-            return f"{kind} inner walker has no {expected} plan"
-        reason = _spec_reason(inner_spec, memsys)
-        return f"{kind} inner walk: {reason}" if reason else None
-    return f"unknown batch-spec kind {kind!r}"
+    return None
 
 
 # --------------------------------------------------------------------- #
@@ -236,13 +180,11 @@ class Plan(NamedTuple):
     (:mod:`repro.sim.kernels`), as Python int lists indexed by plan row
     (see :func:`first_occurrence`) or by the offsets those rows hold;
     the native engine wraps them with ``np.asarray`` and the vec runners
-    index them directly. ``tags`` holds the step-tag columns and is
-    ``None`` unless steps are collected.
+    index them directly.
     """
 
     spec: BatchSpec
     cols: tuple
-    tags: Optional[tuple] = None
     #: The page-walk cache the walk probes and fills (radix, agile).
     pwc: object = None
     #: DMT: the radix plan over the fallback VPNs; ASAP: the inner
@@ -258,8 +200,7 @@ class Plan(NamedTuple):
         return self.spec.kind
 
 
-def plan_replay(walker: Walker, uniq_vpns: List[int],
-                collect: bool) -> Plan:
+def plan_replay(walker: Walker, uniq_vpns: List[int]) -> Plan:
     """Plan ``walker``'s replay over ``uniq_vpns`` (first-occurrence order).
 
     The one planning entry for both batched engines: it picks the PWC
@@ -272,24 +213,23 @@ def plan_replay(walker: Walker, uniq_vpns: List[int],
     memsys = walker.memsys
     kind = spec.kind
     if kind == "dmt":
-        cols, tags, fallback_vpns = _plan_dmt(spec, uniq_vpns, collect)
+        cols, fallback_vpns = _plan_dmt(spec, uniq_vpns)
         fallback = _plan_radix(spec.fallback.batch_spec(), memsys,
-                               fallback_vpns, collect)
-        return Plan(spec, cols, tags, sub=fallback)
+                               fallback_vpns)
+        return Plan(spec, cols, sub=fallback)
     if kind in ("asap-native", "asap-nested"):
-        return _plan_asap(walker, spec, memsys, uniq_vpns, collect)
+        return _plan_asap(walker, spec, memsys, uniq_vpns)
     if kind == "agile":
         pwc = memsys.pwc
         chain_top = min(pwc.top_level, spec.guest_pt.levels)
-        cols, tags = _plan_agile(spec, pwc.top_level, _n_offsets(pwc),
-                                 chain_top, uniq_vpns, collect)
-        return Plan(spec, cols, tags, pwc=pwc, chain_top=chain_top)
+        cols = _plan_agile(spec, pwc.top_level, _n_offsets(pwc), chain_top,
+                           uniq_vpns)
+        return Plan(spec, cols, pwc=pwc, chain_top=chain_top)
     if kind in _OPS_PLANNERS:
-        program = _OpProgram(collect)
+        program = _OpProgram()
         _OPS_PLANNERS[kind](spec, uniq_vpns, program)
-        cols, tags = program.columns()
-        return Plan(spec, cols, tags)
-    return _plan_radix(spec, memsys, uniq_vpns, collect)
+        return Plan(spec, program.columns())
+    return _plan_radix(spec, memsys, uniq_vpns)
 
 
 def _n_offsets(pwc) -> int:
@@ -297,8 +237,7 @@ def _n_offsets(pwc) -> int:
 
 
 def _plan_radix(spec: BatchSpec, memsys: MemorySubsystem,
-                uniq_vpns: List[int], collect: bool,
-                prefetch=None) -> Plan:
+                uniq_vpns: List[int], prefetch=None) -> Plan:
     """A radix-native (host PWC) or radix-nested (guest PWC) plan."""
     if spec.kind == "radix-native":
         pwc = memsys.pwc
@@ -306,10 +245,9 @@ def _plan_radix(spec: BatchSpec, memsys: MemorySubsystem,
                                   pwc.top_level, _n_offsets(pwc), uniq_vpns)
         return Plan(spec, cols, pwc=pwc)
     pwc = memsys.guest_pwc
-    cols, tags = _plan_radix_nested(spec.guest_pt, spec.vm, pwc.top_level,
-                                    _n_offsets(pwc), uniq_vpns, collect,
-                                    prefetch)
-    return Plan(spec, cols, tags, pwc=pwc)
+    cols = _plan_radix_nested(spec.guest_pt, spec.vm, pwc.top_level,
+                              _n_offsets(pwc), uniq_vpns, prefetch)
+    return Plan(spec, cols, pwc=pwc)
 
 
 # --------------------------------------------------------------------- #
@@ -419,16 +357,15 @@ def _plan_radix_native(page_table, caches, top_level: int, n_offsets: int,
             columns + (fkey_mat.ravel().tolist(), fval_mat.ravel().tolist()))
 
 
-def _host_resolver(vm, haddrs: List[int], collect: bool):
+def _host_resolver(vm, haddrs: List[int]):
     """The memoized host resolution of a guest frame, ``gfn -> entry``.
 
-    ``entry = (hfn, start, count, levels)``: the host frame, the EPT
-    fetch chain as ``haddrs[start:start + count]`` (appended on first
-    resolve), and the chain's EPT levels when collecting step tags.
-    ``vm.gpa_to_hpa`` runs before ``ept.walk_steps`` in first-touch
-    order, which reproduces the scalar loop's lazy EPT backfill /
-    shadow-table extension sequence exactly (allocation order
-    determines addresses).
+    ``entry = (hfn, start, count)``: the host frame and the EPT fetch
+    chain as ``haddrs[start:start + count]`` (appended on first
+    resolve). ``vm.gpa_to_hpa`` runs before ``ept.walk_steps`` in
+    first-touch order, which reproduces the scalar loop's lazy EPT
+    backfill / shadow-table extension sequence exactly (allocation
+    order determines addresses).
     """
     gpa_to_hpa = vm.gpa_to_hpa
     ept = vm.ept
@@ -439,9 +376,7 @@ def _host_resolver(vm, haddrs: List[int], collect: bool):
         if entry is None:
             hpa = gpa_to_hpa(gfn << PAGE_SHIFT)   # lazy backing first-touch
             steps = ept.walk_steps(gfn << PAGE_SHIFT)
-            entry = (hpa >> PAGE_SHIFT, len(haddrs), len(steps),
-                     tuple(step.level for step in steps) if collect
-                     else None)
+            entry = (hpa >> PAGE_SHIFT, len(haddrs), len(steps))
             haddrs.extend(step.pte_addr for step in steps)
             memo[gfn] = entry
         return entry
@@ -450,7 +385,7 @@ def _host_resolver(vm, haddrs: List[int], collect: bool):
 
 
 def _plan_radix_nested(guest_pt, vm, top_level: int, n_offsets: int,
-                       uniq_vpns: List[int], collect: bool, prefetch=None):
+                       uniq_vpns: List[int], prefetch=None):
     """2D walk chains: guest dimension + memoized host chains.
 
     Row ``p`` owns guest-level entries ``e_start[p] .. + e_count[p]``.
@@ -460,9 +395,7 @@ def _plan_radix_nested(guest_pt, vm, top_level: int, n_offsets: int,
     miss, the guest PTE's host address ``e_gpte``, and the guest-PWC
     fill ``(e_fo, e_fk, e_fv)`` (``e_fo = -1``: none). ``d_idx[p]``
     indexes the leaf page's host resolution ``(d_gfn, d_hfn, d_rs,
-    d_rc)``, or is ``-1`` for a dead chain. Tags (when collecting):
-    ``gL<level>`` and ``hg<level>L<ept level>`` per entry, ``hdL<ept
-    level>`` per data resolution.
+    d_rc)``, or is ``-1`` for a dead chain.
 
     ``prefetch`` (ASAP) is called per VPN *before* its chain is
     planned: the scalar ASAP walker issues the prefetch — with its own
@@ -473,10 +406,7 @@ def _plan_radix_nested(guest_pt, vm, top_level: int, n_offsets: int,
     (e_start, e_count, e_gfn, e_hfn, e_gpte, e_fo, e_fk, e_fv, e_rs, e_rc,
      d_idx, d_gfn, d_hfn, d_rs, d_rc) = cols = tuple([] for _ in range(15))
     haddrs: List[int] = []
-    e_tag: List[str] = []
-    e_htags: List[tuple] = []
-    d_tags: List[tuple] = []
-    resolve = _host_resolver(vm, haddrs, collect)
+    resolve = _host_resolver(vm, haddrs)
     nodes = {}
     for vpn in uniq_vpns:
         if prefetch is not None:
@@ -489,15 +419,12 @@ def _plan_radix_nested(guest_pt, vm, top_level: int, n_offsets: int,
             index = (vpn >> (TABLE_INDEX_BITS * (level - 1))) & _IDX_MASK
             gpte_gpa = table_gpa + index * PTE_SIZE
             gfn = gpte_gpa >> PAGE_SHIFT
-            hfn, rs, rc, hlevels = resolve(gfn)
+            hfn, rs, rc = resolve(gfn)
             e_gfn.append(gfn)
             e_hfn.append(hfn)
             e_gpte.append((hfn << PAGE_SHIFT) | (gpte_gpa & _OFFSET_MASK))
             e_rs.append(rs)
             e_rc.append(rc)
-            if collect:
-                e_tag.append(f"gL{level}")
-                e_htags.append(tuple(f"hg{level}L{sl}" for sl in hlevels))
 
             prefix = vpn >> (TABLE_INDEX_BITS * (level - 1))
             cached = nodes.get((level, prefix))
@@ -533,23 +460,20 @@ def _plan_radix_nested(guest_pt, vm, top_level: int, n_offsets: int,
                 data_gpa = (leaf_frame << PAGE_SHIFT) \
                     + ((vpn << PAGE_SHIFT) & (_LEAF_BYTES[leaf_level] - 1))
                 dgfn = data_gpa >> PAGE_SHIFT
-                dhfn, drs, drc, dlevels = resolve(dgfn)
+                dhfn, drs, drc = resolve(dgfn)
                 d_idx.append(len(d_gfn))
                 d_gfn.append(dgfn)
                 d_hfn.append(dhfn)
                 d_rs.append(drs)
                 d_rc.append(drc)
-                if collect:
-                    d_tags.append(tuple(f"hdL{sl}" for sl in dlevels))
             else:
                 d_idx.append(-1)
             break
         e_count.append(len(e_gfn) - first)
-    tags = (e_tag, e_htags, d_tags) if collect else None
-    return (cols, haddrs), tags
+    return cols, haddrs
 
 
-def _plan_dmt(spec: BatchSpec, uniq_vpns: List[int], collect: bool):
+def _plan_dmt(spec: BatchSpec, uniq_vpns: List[int]):
     """DMT attempt columns, captured from the real fetcher.
 
     Pass 1 of the DMT planner: run the fetcher's attempt for each unique
@@ -563,13 +487,13 @@ def _plan_dmt(spec: BatchSpec, uniq_vpns: List[int], collect: bool):
 
     Row ``p`` holds ``fell[p]`` (1 when the attempt fell back) and groups
     ``g_start[p] .. + g_count[p]``; group ``g`` fetches ``gaddrs[
-    ga_start[g]:ga_start[g] + ga_count[g]]`` and is tagged by its first
-    reference. ``fb_pidx[p]`` is the row in the fallback plan, or -1.
-    Returns ``((cols, gaddrs), tags, fallback_vpns)``: the fallback VPNs
-    are in first-occurrence order — the order the scalar loop would
-    first hand them to the radix fallback walker (pass 2 plans those
-    lazily so lazy page-table side effects stay in scalar order and
-    non-fallback VPNs trigger none at all).
+    ga_start[g]:ga_start[g] + ga_count[g]]``. ``fb_pidx[p]`` is the row
+    in the fallback plan, or -1. Returns ``((cols, gaddrs),
+    fallback_vpns)``: the fallback VPNs are in first-occurrence order —
+    the order the scalar loop would first hand them to the radix
+    fallback walker (pass 2 plans those lazily so lazy page-table side
+    effects stay in scalar order and non-fallback VPNs trigger none at
+    all).
     """
     fetcher = spec.fetcher
     attempt = spec.attempt
@@ -577,11 +501,10 @@ def _plan_dmt(spec: BatchSpec, uniq_vpns: List[int], collect: bool):
     (fell, dh, dfb, g_start, g_count, ga_start, ga_count,
      fb_pidx) = cols = tuple([] for _ in range(8))
     gaddrs: List[int] = []
-    g_tag: List[str] = []
     events = []
 
-    def record(addr: int, tag: str, group: int) -> None:
-        events.append((addr, tag, group))
+    def record(addr: int, _tag: str, group: int) -> None:
+        events.append((addr, group))
 
     fallback_vpns = []
     for vpn in uniq_vpns:
@@ -592,12 +515,10 @@ def _plan_dmt(spec: BatchSpec, uniq_vpns: List[int], collect: bool):
         dfb.append(fetcher.fallbacks - fb_before)
         g_start.append(len(ga_start))
         open_id = None
-        for addr, tag, group in events:
+        for addr, group in events:
             if group != open_id:
                 ga_start.append(len(gaddrs))
                 ga_count.append(0)
-                if collect:
-                    g_tag.append(tag)
                 open_id = group
             gaddrs.append(addr)
             ga_count[-1] += 1
@@ -610,7 +531,7 @@ def _plan_dmt(spec: BatchSpec, uniq_vpns: List[int], collect: bool):
             fell.append(0)
             fb_pidx.append(-1)
     fetcher.hits, fetcher.fallbacks = hits0, fallbacks0
-    return (cols, gaddrs), ((g_tag,) if collect else None), fallback_vpns
+    return (cols, gaddrs), fallback_vpns
 
 
 class _OpProgram:
@@ -631,34 +552,25 @@ class _OpProgram:
     - ``(4, has_hit, cwc_key, way, hit_addr, cand_start, cand_count)`` —
       an ECPT probe step (:meth:`probe_step`) over candidates
       ``cand_addr``/``cand_crit[cand_start:cand_start + cand_count]``.
-
-    Tags (when collecting): one per op row (the hit tag for a probe
-    step) and one per candidate.
     """
 
-    def __init__(self, collect: bool):
-        self.collect = collect
+    def __init__(self):
         self.base_cycles: List[int] = []
         self.op_start: List[int] = []
         self.ops: List[int] = []
         self.cand_addr: List[int] = []
         self.cand_crit: List[int] = []
-        self.op_tag: List[Optional[str]] = []
-        self.cand_tag: List[Optional[str]] = []
 
     def walk(self, base_cycles: int) -> None:
         """Open the next row's program."""
         self.base_cycles.append(base_cycles)
         self.op_start.append(len(self.ops) // OP_WIDTH)
 
-    def op(self, code: int, a: int, b: int = 0,
-           tag: Optional[str] = None) -> None:
+    def op(self, code: int, a: int, b: int = 0) -> None:
         self.ops.extend((code, a, b, 0, 0, 0, 0))
-        if self.collect:
-            self.op_tag.append(tag)
 
     # dmtlint-domain: va=any -- plans probes for guest (gVA) and host (gPA) ECPTs
-    def probe_step(self, ecpt, va: int, tag: str) -> None:
+    def probe_step(self, ecpt, va: int) -> None:
         """One ECPT probe step compiled to a CWC-probe op (opcode 4).
 
         The static part — which (size, way) hits, the candidate
@@ -670,7 +582,6 @@ class _OpProgram:
         and the runners replay ``CuckooWalkCache.get``/``put`` at run
         time.
         """
-        collect = self.collect
         hit_addr = None
         for size, table in ecpt.tables.items():
             found = table.lookup_way(va >> int(size))
@@ -681,35 +592,27 @@ class _OpProgram:
         hit_line = hit_addr >> 6 if hit_addr is not None else None
         cand_start = len(self.cand_addr)
         matched = False
-        for addr, probe_size, _vpn in ecpt.candidate_probes(va):
+        for addr, _size, _vpn in ecpt.candidate_probes(va):
             crit = (hit_line is not None and addr >> 6 == hit_line
                     and not matched)
             if crit:
                 matched = True
             self.cand_addr.append(addr)
             self.cand_crit.append(1 if crit else 0)
-            if collect:
-                self.cand_tag.append(f"{tag}-{probe_size.name}")
         count = len(self.cand_addr) - cand_start
         if hit_addr is None:
             self.ops.extend((4, 0, 0, -1, 0, cand_start, count))
-            hit_tag = None
         else:
             key = cwc_key(int(hit_size), (va >> int(hit_size)) >> 3)
             self.ops.extend((4, 1, key, hit_way, hit_addr, cand_start,
                              count))
-            hit_tag = f"{tag}-{hit_size.name}" if collect else None
-        if collect:
-            self.op_tag.append(hit_tag)
 
-    def columns(self):
-        """``(cols, tags)`` for :class:`Plan`."""
+    def columns(self) -> tuple:
+        """The ``cols`` of :class:`Plan`."""
         ends = self.op_start[1:] + [len(self.ops) // OP_WIDTH]
         op_count = [end - start for start, end in zip(self.op_start, ends)]
-        cols = (self.base_cycles, self.op_start, op_count, self.ops,
+        return (self.base_cycles, self.op_start, op_count, self.ops,
                 self.cand_addr, self.cand_crit)
-        return cols, ((self.op_tag, self.cand_tag) if self.collect
-                      else None)
 
 
 def _plan_ecpt_native(spec: BatchSpec, uniq_vpns: List[int],
@@ -720,7 +623,7 @@ def _plan_ecpt_native(spec: BatchSpec, uniq_vpns: List[int],
     ecpt = spec.ecpt
     for vpn in uniq_vpns:
         program.walk(HASH_CYCLES)
-        program.probe_step(ecpt, vpn << PAGE_SHIFT, "ecpt")
+        program.probe_step(ecpt, vpn << PAGE_SHIFT)
 
 
 def _plan_ecpt_nested(spec: BatchSpec, uniq_vpns: List[int],
@@ -739,7 +642,6 @@ def _plan_ecpt_nested(spec: BatchSpec, uniq_vpns: List[int],
 
     guest = spec.ecpt
     host = spec.host_ecpt
-    g_tag = "g-ecpt" if program.collect else None
     for vpn in uniq_vpns:
         gva = vpn << PAGE_SHIFT
         program.walk(2 * HASH_CYCLES)
@@ -756,7 +658,7 @@ def _plan_ecpt_nested(spec: BatchSpec, uniq_vpns: List[int],
             critical = g_hit_addr is not None \
                 and (g_addr >> 6) == (g_hit_addr >> 6)
             if critical:
-                program.probe_step(host, g_addr, "h-ecpt")
+                program.probe_step(host, g_addr)
             else:
                 for addr, _size, _hvpn in host.candidate_probes(g_addr):
                     program.op(2, addr)
@@ -769,11 +671,11 @@ def _plan_ecpt_nested(spec: BatchSpec, uniq_vpns: List[int],
         for g_addr, h_addr in resolved:
             if g_hit_addr is not None \
                     and (g_addr >> 6) == (g_hit_addr >> 6):
-                program.op(1, h_addr, tag=g_tag)
+                program.op(1, h_addr)
             else:
                 program.op(2, h_addr)
         program.op(0, HASH_CYCLES)
-        program.probe_step(host, gpa, "hd-ecpt")
+        program.probe_step(host, gpa)
 
 
 def _plan_fpt_native(spec: BatchSpec, uniq_vpns: List[int],
@@ -788,12 +690,10 @@ def _plan_fpt_native(spec: BatchSpec, uniq_vpns: List[int],
     fpt = spec.fpt
     read = fpt.memory.read_word
     probe_huge = spec.probe_huge
-    collect = program.collect
     for vpn in uniq_vpns:
         va = vpn << PAGE_SHIFT
         program.walk(0)
-        program.op(1, fpt.root_entry_addr(va),
-                   tag="F-root" if collect else None)
+        program.op(1, fpt.root_entry_addr(va))
         leaf = fpt._leaves.get(fpt.upper_index(va))
         if leaf is None:
             continue
@@ -809,10 +709,9 @@ def _plan_fpt_native(spec: BatchSpec, uniq_vpns: List[int],
             if pte & PTE_PRESENT and \
                     bool(pte & PTE_HUGE) == (size != PageSize.SIZE_4K):
                 hit_addr = addr
-        for addr, size in probes:
+        for addr, _size in probes:
             if hit_addr is None or addr == hit_addr:
-                program.op(3, 1, addr,
-                           f"F-leaf-{size.name}" if collect else None)
+                program.op(3, 1, addr)
             else:
                 program.op(2, addr)
 
@@ -832,11 +731,9 @@ def _plan_fpt_nested(spec: BatchSpec, uniq_vpns: List[int],
     probe_huge = spec.probe_huge
     gread = guest.memory.read_word
     hread = host.memory.read_word
-    collect = program.collect
 
-    def plan_host_resolve(gpa, dim, gid_box):
-        program.op(1, host.root_entry_addr(gpa),
-                   tag=f"h{dim}-root" if collect else None)
+    def plan_host_resolve(gpa, gid_box):
+        program.op(1, host.root_entry_addr(gpa))
         leaf = host._leaves.get(host.upper_index(gpa))
         if leaf is None:
             return None
@@ -858,7 +755,7 @@ def _plan_fpt_nested(spec: BatchSpec, uniq_vpns: List[int],
                 hit_addr = addr
         for addr, _size in probes:
             if hit_addr is None or addr == hit_addr:
-                program.op(3, gid, addr, f"h{dim}-leaf" if collect else None)
+                program.op(3, gid, addr)
             else:
                 program.op(2, addr)
         return hpa
@@ -867,11 +764,10 @@ def _plan_fpt_nested(spec: BatchSpec, uniq_vpns: List[int],
         gva = vpn << PAGE_SHIFT
         program.walk(0)
         gid_box = [1]
-        root_hpa = plan_host_resolve(guest.root_entry_addr(gva), "g1",
-                                     gid_box)
+        root_hpa = plan_host_resolve(guest.root_entry_addr(gva), gid_box)
         if root_hpa is None:
             continue
-        program.op(1, root_hpa, tag="gF-root" if collect else None)
+        program.op(1, root_hpa)
         leaf = guest._leaves.get(guest.upper_index(gva))
         if leaf is None:
             continue
@@ -892,16 +788,15 @@ def _plan_fpt_nested(spec: BatchSpec, uniq_vpns: List[int],
         for probe_size, entry_gpa, pte, valid in slots:
             if any_valid and not valid:
                 continue
-            entry_hpa = plan_host_resolve(entry_gpa, "g2", gid_box)
+            entry_hpa = plan_host_resolve(entry_gpa, gid_box)
             if entry_hpa is None:
                 continue
-            program.op(3, 1, entry_hpa,
-                       f"gF-leaf-{probe_size.name}" if collect else None)
+            program.op(3, 1, entry_hpa)
             if valid:
                 gpa = (pte_frame(pte) << PAGE_SHIFT) \
                     + (gva & (probe_size.bytes - 1))
         if gpa is not None:
-            plan_host_resolve(gpa, "d", gid_box)
+            plan_host_resolve(gpa, gid_box)
 
 
 _OPS_PLANNERS = {
@@ -913,7 +808,7 @@ _OPS_PLANNERS = {
 
 
 def _plan_agile(spec: BatchSpec, top_level: int, n_offsets: int,
-                chain_top: int, uniq_vpns: List[int], collect: bool):
+                chain_top: int, uniq_vpns: List[int]):
     """Agile Paging: shadow chain + guest leaf + data resolution.
 
     Row ``p`` owns shadow-chain rows ``ch_start[p] .. + ch_count[p]``
@@ -934,10 +829,7 @@ def _plan_agile(spec: BatchSpec, top_level: int, n_offsets: int,
     (ch_start, ch_count, c_addr, c_fo, c_fk, c_fv, leaf_addr, d_idx, d_gfn,
      d_hfn, d_rs, d_rc) = cols = tuple([] for _ in range(12))
     haddrs: List[int] = []
-    c_tag: List[str] = []
-    leaf_tag: List[Optional[str]] = []
-    d_tags: List[tuple] = []
-    resolve = _host_resolver(spec.vm, haddrs, collect)
+    resolve = _host_resolver(spec.vm, haddrs)
     for vpn in uniq_vpns:
         gva = vpn << PAGE_SHIFT
         gsteps = guest_pt.walk_steps(gva)
@@ -962,34 +854,26 @@ def _plan_agile(spec: BatchSpec, top_level: int, n_offsets: int,
                 c_fo.append(-1)
                 c_fk.append(0)
                 c_fv.append(0)
-            if collect:
-                c_tag.append(f"sL{level}")
         ch_count.append(len(c_addr) - ch_start[-1])
         if not leaf_step.pte_value & PTE_PRESENT:
             leaf_addr.append(-1)
             d_idx.append(-1)
-            if collect:
-                leaf_tag.append(None)
             continue
         leaf_addr.append(gpa_to_hpa(leaf_step.pte_addr))
         data_gpa = (pte_frame(leaf_step.pte_value) << PAGE_SHIFT) \
             + (gva & (_LEAF_BYTES[leaf_level] - 1))
         dgfn = data_gpa >> PAGE_SHIFT
-        dhfn, drs, drc, dlevels = resolve(dgfn)
+        dhfn, drs, drc = resolve(dgfn)
         d_idx.append(len(d_gfn))
         d_gfn.append(dgfn)
         d_hfn.append(dhfn)
         d_rs.append(drs)
         d_rc.append(drc)
-        if collect:
-            leaf_tag.append(f"gL{leaf_level}")
-            d_tags.append(tuple(f"hdL{sl}" for sl in dlevels))
-    tags = (c_tag, leaf_tag, d_tags) if collect else None
-    return (cols, haddrs), tags
+    return cols, haddrs
 
 
 def _plan_asap(walker: Walker, spec: BatchSpec, memsys: MemorySubsystem,
-               uniq_vpns: List[int], collect: bool) -> Plan:
+               uniq_vpns: List[int]) -> Plan:
     """ASAP: per-row prefetch addresses around the inner radix plan.
 
     ``cols = (pf_start, pf_count, pf_addr)``; the inner plan shares the
@@ -1031,12 +915,11 @@ def _plan_asap(walker: Walker, spec: BatchSpec, memsys: MemorySubsystem,
 
     inner_spec = spec.inner.batch_spec()
     if nested:
-        inner = _plan_radix(inner_spec, memsys, uniq_vpns, collect,
-                            prefetch)
+        inner = _plan_radix(inner_spec, memsys, uniq_vpns, prefetch)
     else:
         for vpn in uniq_vpns:
             prefetch(vpn)
-        inner = _plan_radix(inner_spec, memsys, uniq_vpns, collect)
+        inner = _plan_radix(inner_spec, memsys, uniq_vpns)
     return Plan(spec, (pf_start, pf_count, pf_addr), sub=inner,
                 chain_hop=walker.CHAIN_HOP_CYCLES if nested else 0)
 
@@ -1233,11 +1116,10 @@ def _make_radix_runner(plan: Plan, memsys: MemorySubsystem,
                        credit_walkers: Tuple = ()):
     """The per-miss radix walk function over a radix ``plan``.
 
-    Returns ``(run, run_many)``. ``run(vpn, p, steps)`` executes one
-    walk of plan row ``p``: PWC probe (with LRU touch and credit
-    thinning), the remaining chain fetches, and the PWC fills — all
-    against live flat state — and returns ``(cycles, nrefs, False)``. ``steps`` collects Figure 16
-    ``(tag, latency)`` pairs when not None. For radix-native,
+    Returns ``(run, run_many)``. ``run(vpn, p)`` executes one walk of
+    plan row ``p``: PWC probe (with LRU touch and credit thinning), the
+    remaining chain fetches, and the PWC fills — all against live flat
+    state — and returns ``(cycles, nrefs, False)``. For radix-native,
     ``run_many(vpn_list, row_list) -> (cycles, nrefs)`` replays a
     whole chunk with the probe and the cache hierarchy fully inlined
     over ``access_ctx`` (the shared counters behind ``access``), every
@@ -1259,17 +1141,14 @@ def _make_radix_runner(plan: Plan, memsys: MemorySubsystem,
 
     if plan.kind == "radix-native":
         (v1, v2, v3), mem_latency, counters = access_ctx
-        top_level = view.top_level
         row_base, chain_lens, columns = plan.cols
         line1, idx1, line2, idx2, line3, idx3, fkeys, fvals = columns
-        tag_by_step = tuple(
-            f"L{top_level - depth}" for depth in range(top_level))
         s1, a1, lat1 = v1.sets, v1.assoc, v1.latency
         s2, a2, lat2 = v2.sets, v2.assoc, v2.latency
         s3, a3, lat3 = v3.sets, v3.assoc, v3.latency
         porder, paccept, pcredit, pcounters = probe_ctx
 
-        def run(vpn: int, p: int, steps) -> Tuple[int, int, bool]:
+        def run(vpn: int, p: int) -> Tuple[int, int, bool]:
             base = row_base[p]
             chain_len = chain_lens[p]
             cycles = pwc_latency
@@ -1330,8 +1209,6 @@ def _make_radix_runner(plan: Plan, memsys: MemorySubsystem,
                             del w1[next(iter(w1))]
                         w1[l1] = None
                 cycles += latency
-                if steps is not None:
-                    steps.append((tag_by_step[j - base], latency))
                 key = fkeys[j]
                 if key >= 0:
                     offset = j - base
@@ -1344,262 +1221,130 @@ def _make_radix_runner(plan: Plan, memsys: MemorySubsystem,
                 j += 1
             return cycles, chain_len - start, False
 
-        if v1.num_sets == 1 and paccept is not None and len(porder) == 3:
-            # The Table 3 shape: the PTE-share-thinned L1 collapses to a
-            # single set at evaluation scale (its one ways dict is
-            # hoisted out of the loop — no set-index column load, no
-            # s1.get per access) and the 3-offset thinned PWC probe is
-            # unrolled deepest-first with its tables/shifts in locals.
-            (pt2, psh2, _o2), (pt1, psh1, _o1), (pt0, psh0, _o0) = porder
-            pac0, pac1, pac2 = paccept[0], paccept[1], paccept[2]
-
-            def run_many(vpn_list, row_list) -> Tuple[int, int]:
-                h1 = h2 = h3 = miss1 = miss2 = miss3 = mem = 0
-                phits = pmisses = 0
-                total_cycles = 0
-                refs = 0
-                w1 = s1.get(0)
-                for vpn, p in zip(vpn_list, row_list):
-                    base = row_base[p]
-                    chain_len = chain_lens[p]
-                    start = 0
-                    key = vpn >> psh2
-                    if key in pt2:
-                        pt2[key] = pt2.pop(key)   # LRU touch
-                        credit = pcredit[2] + pac2
-                        if credit >= 1.0:
-                            pcredit[2] = credit - 1.0
-                            start = 3
+        def run_many(vpn_list, row_list) -> Tuple[int, int]:
+            # One chunk, probe + hierarchy + fills inlined, every
+            # counter in a local int flushed once at the end.
+            h1 = h2 = h3 = miss1 = miss2 = miss3 = mem = 0
+            phits = pmisses = 0
+            total_cycles = 0
+            refs = 0
+            for vpn, p in zip(vpn_list, row_list):
+                base = row_base[p]
+                chain_len = chain_lens[p]
+                start = 0
+                hit = False
+                for table, shift, offset in porder:
+                    key = vpn >> shift
+                    if key in table:
+                        table[key] = table.pop(key)   # LRU touch
+                        if paccept is None:
+                            hit = True
                         else:
-                            pcredit[2] = credit
-                    if start == 0:
-                        key = vpn >> psh1
-                        if key in pt1:
-                            pt1[key] = pt1.pop(key)
-                            credit = pcredit[1] + pac1
+                            credit = pcredit[offset] + paccept[offset]
                             if credit >= 1.0:
-                                pcredit[1] = credit - 1.0
-                                start = 2
-                            else:
-                                pcredit[1] = credit
-                        if start == 0:
-                            key = vpn >> psh0
-                            if key in pt0:
-                                pt0[key] = pt0.pop(key)
-                                credit = pcredit[0] + pac0
-                                if credit >= 1.0:
-                                    pcredit[0] = credit - 1.0
-                                    start = 1
-                                else:
-                                    pcredit[0] = credit
-                    if start:
-                        phits += 1
-                    else:
-                        pmisses += 1
-                    cycles = pwc_latency
-                    j = base + start
-                    end = base + chain_len
-                    while j < end:
-                        l1 = line1[j]
-                        if w1 is not None and l1 in w1:
-                            del w1[l1]
-                            w1[l1] = None
-                            h1 += 1
-                            cycles += lat1
-                        else:
-                            miss1 += 1
-                            l2 = line2[j]
-                            i2 = idx2[j]
-                            w2 = s2.get(i2)
-                            if w2 is not None and l2 in w2:
-                                del w2[l2]
-                                w2[l2] = None
-                                h2 += 1
-                                cycles += lat2
-                            else:
-                                miss2 += 1
-                                l3 = line3[j]
-                                i3 = idx3[j]
-                                w3 = s3.get(i3)
-                                if w3 is not None and l3 in w3:
-                                    del w3[l3]
-                                    w3[l3] = None
-                                    h3 += 1
-                                    cycles += lat3
-                                else:
-                                    miss3 += 1
-                                    mem += 1
-                                    cycles += mem_latency
-                                    if w3 is None:
-                                        s3[i3] = {l3: None}
-                                    else:
-                                        if len(w3) >= a3:
-                                            del w3[next(iter(w3))]
-                                        w3[l3] = None
-                                if w2 is None:
-                                    s2[i2] = {l2: None}
-                                else:
-                                    if len(w2) >= a2:
-                                        del w2[next(iter(w2))]
-                                    w2[l2] = None
-                            if w1 is None:
-                                w1 = s1[0] = {l1: None}
-                            else:
-                                if len(w1) >= a1:
-                                    del w1[next(iter(w1))]
-                                w1[l1] = None
-                        key = fkeys[j]
-                        if key >= 0:
-                            offset = j - base
-                            table = tables[offset]
-                            if key in table:
-                                del table[key]
-                            elif len(table) >= capacities[offset]:
-                                del table[next(iter(table))]
-                            table[key] = fvals[j]
-                        j += 1
-                    total_cycles += cycles
-                    refs += chain_len - start
-                counters[0] += h1
-                counters[1] += h2
-                counters[2] += h3
-                counters[3] += miss1
-                counters[4] += miss2
-                counters[5] += miss3
-                counters[6] += mem
-                pcounters[0] += phits
-                pcounters[1] += pmisses
-                return total_cycles, refs
-        else:
-            def run_many(vpn_list, row_list) -> Tuple[int, int]:
-                # One chunk, probe + hierarchy + fills inlined, every
-                # counter in a local int flushed once at the end.
-                h1 = h2 = h3 = miss1 = miss2 = miss3 = mem = 0
-                phits = pmisses = 0
-                total_cycles = 0
-                refs = 0
-                for vpn, p in zip(vpn_list, row_list):
-                    base = row_base[p]
-                    chain_len = chain_lens[p]
-                    start = 0
-                    hit = False
-                    for table, shift, offset in porder:
-                        key = vpn >> shift
-                        if key in table:
-                            table[key] = table.pop(key)   # LRU touch
-                            if paccept is None:
+                                pcredit[offset] = credit - 1.0
                                 hit = True
                             else:
-                                credit = pcredit[offset] + paccept[offset]
-                                if credit >= 1.0:
-                                    pcredit[offset] = credit - 1.0
-                                    hit = True
-                                else:
-                                    pcredit[offset] = credit
-                                    continue
-                            start = offset + 1
-                            break
-                    if hit:
-                        phits += 1
+                                pcredit[offset] = credit
+                                continue
+                        start = offset + 1
+                        break
+                if hit:
+                    phits += 1
+                else:
+                    pmisses += 1
+                cycles = pwc_latency
+                j = base + start
+                end = base + chain_len
+                while j < end:
+                    l1 = line1[j]
+                    w1 = s1.get(idx1[j])
+                    if w1 is not None and l1 in w1:
+                        del w1[l1]
+                        w1[l1] = None
+                        h1 += 1
+                        cycles += lat1
                     else:
-                        pmisses += 1
-                    cycles = pwc_latency
-                    j = base + start
-                    end = base + chain_len
-                    while j < end:
-                        l1 = line1[j]
-                        w1 = s1.get(idx1[j])
-                        if w1 is not None and l1 in w1:
-                            del w1[l1]
-                            w1[l1] = None
-                            h1 += 1
-                            cycles += lat1
+                        miss1 += 1
+                        l2 = line2[j]
+                        i2 = idx2[j]
+                        w2 = s2.get(i2)
+                        if w2 is not None and l2 in w2:
+                            del w2[l2]
+                            w2[l2] = None
+                            h2 += 1
+                            cycles += lat2
                         else:
-                            miss1 += 1
-                            l2 = line2[j]
-                            i2 = idx2[j]
-                            w2 = s2.get(i2)
-                            if w2 is not None and l2 in w2:
-                                del w2[l2]
-                                w2[l2] = None
-                                h2 += 1
-                                cycles += lat2
+                            miss2 += 1
+                            l3 = line3[j]
+                            i3 = idx3[j]
+                            w3 = s3.get(i3)
+                            if w3 is not None and l3 in w3:
+                                del w3[l3]
+                                w3[l3] = None
+                                h3 += 1
+                                cycles += lat3
                             else:
-                                miss2 += 1
-                                l3 = line3[j]
-                                i3 = idx3[j]
-                                w3 = s3.get(i3)
-                                if w3 is not None and l3 in w3:
-                                    del w3[l3]
+                                miss3 += 1
+                                mem += 1
+                                cycles += mem_latency
+                                if w3 is None:
+                                    s3[i3] = {l3: None}
+                                else:
+                                    if len(w3) >= a3:
+                                        del w3[next(iter(w3))]
                                     w3[l3] = None
-                                    h3 += 1
-                                    cycles += lat3
-                                else:
-                                    miss3 += 1
-                                    mem += 1
-                                    cycles += mem_latency
-                                    if w3 is None:
-                                        s3[i3] = {l3: None}
-                                    else:
-                                        if len(w3) >= a3:
-                                            del w3[next(iter(w3))]
-                                        w3[l3] = None
-                                if w2 is None:
-                                    s2[i2] = {l2: None}
-                                else:
-                                    if len(w2) >= a2:
-                                        del w2[next(iter(w2))]
-                                    w2[l2] = None
-                            i1 = idx1[j]
-                            if w1 is None:
-                                s1[i1] = {l1: None}
+                            if w2 is None:
+                                s2[i2] = {l2: None}
                             else:
-                                if len(w1) >= a1:
-                                    del w1[next(iter(w1))]
-                                w1[l1] = None
-                        key = fkeys[j]
-                        if key >= 0:
-                            offset = j - base
-                            table = tables[offset]
-                            if key in table:
-                                del table[key]
-                            elif len(table) >= capacities[offset]:
-                                del table[next(iter(table))]
-                            table[key] = fvals[j]
-                        j += 1
-                    total_cycles += cycles
-                    refs += chain_len - start
-                counters[0] += h1
-                counters[1] += h2
-                counters[2] += h3
-                counters[3] += miss1
-                counters[4] += miss2
-                counters[5] += miss3
-                counters[6] += mem
-                pcounters[0] += phits
-                pcounters[1] += pmisses
-                return total_cycles, refs
+                                if len(w2) >= a2:
+                                    del w2[next(iter(w2))]
+                                w2[l2] = None
+                        i1 = idx1[j]
+                        if w1 is None:
+                            s1[i1] = {l1: None}
+                        else:
+                            if len(w1) >= a1:
+                                del w1[next(iter(w1))]
+                            w1[l1] = None
+                    key = fkeys[j]
+                    if key >= 0:
+                        offset = j - base
+                        table = tables[offset]
+                        if key in table:
+                            del table[key]
+                        elif len(table) >= capacities[offset]:
+                            del table[next(iter(table))]
+                        table[key] = fvals[j]
+                    j += 1
+                total_cycles += cycles
+                refs += chain_len - start
+            counters[0] += h1
+            counters[1] += h2
+            counters[2] += h3
+            counters[3] += miss1
+            counters[4] += miss2
+            counters[5] += miss3
+            counters[6] += mem
+            pcounters[0] += phits
+            pcounters[1] += pmisses
+            return total_cycles, refs
 
     else:  # radix-nested
         (e_start, e_count, e_gfn, e_hfn, e_gpte, e_fo, e_fk, e_fv, e_rs, e_rc,
          d_idx, d_gfn, d_hfn, d_rs, d_rc), haddrs = plan.cols
-        e_tag, e_htags, d_tags = plan.tags or (None, None, None)
         resolve_host = _make_nested_resolve(memsys, access, haddrs,
                                             finalizers)
 
-        def run(vpn: int, p: int, steps) -> Tuple[int, int, bool]:
+        def run(vpn: int, p: int) -> Tuple[int, int, bool]:
             cycles = pwc_latency
             nrefs = 0
             first = e_start[p]
             for k in range(first + probe(vpn), first + e_count[p]):
-                hcycles, hrefs = resolve_host(
-                    e_gfn[k], e_hfn[k], e_rs[k], e_rc[k], steps,
-                    e_htags[k] if steps is not None else None)
-                latency = access(e_gpte[k])
-                cycles += hcycles + latency
+                hcycles, hrefs = resolve_host(e_gfn[k], e_hfn[k], e_rs[k],
+                                              e_rc[k])
+                cycles += hcycles + access(e_gpte[k])
                 nrefs += hrefs + 1
-                if steps is not None:
-                    steps.append((e_tag[k], latency))
                 offset = e_fo[k]
                 if offset >= 0:
                     key = e_fk[k]
@@ -1611,9 +1356,8 @@ def _make_radix_runner(plan: Plan, memsys: MemorySubsystem,
                     table[key] = e_fv[k]
             d = d_idx[p]
             if d >= 0:
-                hcycles, hrefs = resolve_host(
-                    d_gfn[d], d_hfn[d], d_rs[d], d_rc[d], steps,
-                    d_tags[d] if steps is not None else None)
+                hcycles, hrefs = resolve_host(d_gfn[d], d_hfn[d], d_rs[d],
+                                              d_rc[d])
                 cycles += hcycles
                 nrefs += hrefs
             return cycles, nrefs, False
@@ -1624,8 +1368,8 @@ def _make_radix_runner(plan: Plan, memsys: MemorySubsystem,
     # walker's own counters (the scalar loop records through it first).
     acc = [0, 0]
 
-    def tracked(vpn: int, p: int, steps) -> Tuple[int, int, bool]:
-        cycles, nrefs, _ = run(vpn, p, steps)
+    def tracked(vpn: int, p: int) -> Tuple[int, int, bool]:
+        cycles, nrefs, _ = run(vpn, p)
         acc[0] += 1
         acc[1] += cycles
         return cycles, nrefs, False
@@ -1644,7 +1388,7 @@ def _make_nested_resolve(memsys: MemorySubsystem,
                          finalizers: List[Callable[[], None]]):
     """Nested-PWC consult + host-chain replay (the scalar ``_host_resolve``).
 
-    ``resolve(gfn, hfn, start, count, steps, tags) -> (cycles, refs)``:
+    ``resolve(gfn, hfn, start, count) -> (cycles, refs)``:
     a thinned-or-not nested-PWC hit costs nothing; a miss fetches
     ``haddrs[start:start + count]`` through the hierarchy, then fills
     the nested PWC *after* the chain, in the scalar order.
@@ -1657,8 +1401,8 @@ def _make_nested_resolve(memsys: MemorySubsystem,
     ncounters = [0, 0]
     ncredit = [nview.owner.credit]
 
-    def resolve(gfn: int, hfn: int, start: int, count: int, steps,
-                tags) -> Tuple[int, int]:
+    def resolve(gfn: int, hfn: int, start: int,
+                count: int) -> Tuple[int, int]:
         hit = False
         if gfn in ntable:
             cached = ntable.pop(gfn)   # LRU touch, even when thinned
@@ -1677,14 +1421,8 @@ def _make_nested_resolve(memsys: MemorySubsystem,
             return 0, 0
         ncounters[1] += 1
         cycles = 0
-        if steps is None:
-            for t in range(start, start + count):
-                cycles += access(haddrs[t])
-        else:
-            for t, tag in zip(range(start, start + count), tags):
-                latency = access(haddrs[t])
-                cycles += latency
-                steps.append((tag, latency))
+        for t in range(start, start + count):
+            cycles += access(haddrs[t])
         if gfn in ntable:
             del ntable[gfn]
         elif len(ntable) >= ncapacity:
@@ -1715,7 +1453,6 @@ def _make_dmt_runner(plan: Plan, memsys: MemorySubsystem,
     """
     (fell, dh, dfb, g_start, g_count, ga_start, ga_count,
      fb_pidx), gaddrs = plan.cols
-    g_tag = plan.tags[0] if plan.tags else None
     spec = plan.spec
     fallback_run, _ = _make_radix_runner(
         plan.sub, memsys, access, access_ctx, finalizers,
@@ -1723,7 +1460,7 @@ def _make_dmt_runner(plan: Plan, memsys: MemorySubsystem,
     fetcher = spec.fetcher
     acc = [0, 0]  # fetcher hits / fallbacks deltas, applied at finalize
 
-    def run(vpn: int, p: int, steps) -> Tuple[int, int, bool]:
+    def run(vpn: int, p: int) -> Tuple[int, int, bool]:
         acc[0] += dh[p]
         acc[1] += dfb[p]
         groups = range(g_start[p], g_start[p] + g_count[p])
@@ -1731,23 +1468,18 @@ def _make_dmt_runner(plan: Plan, memsys: MemorySubsystem,
             for g in groups:
                 for t in range(ga_start[g], ga_start[g] + ga_count[g]):
                     access(gaddrs[t])   # mutates caches; cycles discarded
-            cycles, nrefs, _ = fallback_run(vpn, fb_pidx[p], steps)
+            cycles, nrefs, _ = fallback_run(vpn, fb_pidx[p])
             return cycles, nrefs, True
         cycles = 0
         nrefs = 0
         for g in groups:
             group_max = 0
-            first = -1
             for t in range(ga_start[g], ga_start[g] + ga_count[g]):
                 latency = access(gaddrs[t])
                 if latency > group_max:
                     group_max = latency
-                if first < 0:
-                    first = latency
             cycles += group_max
             nrefs += ga_count[g]
-            if steps is not None:
-                steps.append((g_tag[g], first))
         return cycles, nrefs, False
 
     def fetcher_fin() -> None:
@@ -1774,22 +1506,18 @@ def _make_ops_runner(plan: Plan, access: Callable[[int], int],
     Group episodes replicate ``WalkRecorder`` exactly: a grouped fetch
     with a new gid closes the previous episode (adding its max), fetches
     and charges close any open episode, probes touch nothing, and the
-    walk's final episode closes at op-list end. Step collection mirrors
-    the scalar collapsing — one entry per *first* ref of each gid per
-    walk, sequential fetches always recorded.
+    walk's final episode closes at op-list end.
     """
     base_cycles, op_start, op_count, ops, cand_addr, cand_crit = plan.cols
-    op_tag, cand_tag = plan.tags or (None, None)
     centries = cwc._entries
     ccap = cwc.capacity
     ccounters = [0, 0]  # hits, misses
 
-    def run(vpn: int, p: int, steps) -> Tuple[int, int, bool]:
+    def run(vpn: int, p: int) -> Tuple[int, int, bool]:
         cycles = base_cycles[p]
         nrefs = 0
         open_gid = -1
         gmax = 0
-        seen = set() if steps is not None else None
         first = op_start[p]
         for i in range(OP_WIDTH * first, OP_WIDTH * (first + op_count[p]),
                        OP_WIDTH):
@@ -1801,11 +1529,8 @@ def _make_ops_runner(plan: Plan, access: Callable[[int], int],
                     cycles += gmax
                     open_gid = -1
                     gmax = 0
-                latency = access(ops[i + 1])
-                cycles += latency
+                cycles += access(ops[i + 1])
                 nrefs += 1
-                if steps is not None:
-                    steps.append((op_tag[i // OP_WIDTH], latency))
             elif code == 3:
                 gid = ops[i + 1]
                 if gid != open_gid:
@@ -1817,9 +1542,6 @@ def _make_ops_runner(plan: Plan, access: Callable[[int], int],
                 if latency > gmax:
                     gmax = latency
                 nrefs += 1
-                if steps is not None and gid not in seen:
-                    seen.add(gid)
-                    steps.append((op_tag[i // OP_WIDTH], latency))
             elif code == 4:
                 cstart = ops[i + 5]
                 ccount = ops[i + 6]
@@ -1838,11 +1560,8 @@ def _make_ops_runner(plan: Plan, access: Callable[[int], int],
                             cycles += gmax
                             open_gid = -1
                             gmax = 0
-                        latency = access(ops[i + 4])
-                        cycles += latency
+                        cycles += access(ops[i + 4])
                         nrefs += 1
-                        if steps is not None:
-                            steps.append((op_tag[i // OP_WIDTH], latency))
                         continue
                     # mispredict: install the true way (CuckooWalkCache.put)
                     if key in centries:
@@ -1856,11 +1575,8 @@ def _make_ops_runner(plan: Plan, access: Callable[[int], int],
                                 cycles += gmax
                                 open_gid = -1
                                 gmax = 0
-                            latency = access(cand_addr[t])
-                            cycles += latency
+                            cycles += access(cand_addr[t])
                             nrefs += 1
-                            if steps is not None:
-                                steps.append((cand_tag[t], latency))
                         else:
                             probe(cand_addr[t])
                 else:
@@ -1877,9 +1593,6 @@ def _make_ops_runner(plan: Plan, access: Callable[[int], int],
                     if latency > gmax:
                         gmax = latency
                     nrefs += 1
-                    if steps is not None and 0 not in seen:
-                        seen.add(0)
-                        steps.append((cand_tag[cstart], latency))
             else:  # code == 0: charge
                 if open_gid >= 0:
                     cycles += gmax
@@ -1919,10 +1632,9 @@ def _make_agile_runner(plan: Plan, memsys: MemorySubsystem,
     chain_top = plan.chain_top
     (ch_start, ch_count, c_addr, c_fo, c_fk, c_fv, leaf_addr, d_idx, d_gfn,
      d_hfn, d_rs, d_rc), haddrs = plan.cols
-    c_tag, leaf_tag, d_tags = plan.tags or (None, None, None)
     resolve_host = _make_nested_resolve(memsys, access, haddrs, finalizers)
 
-    def run(vpn: int, p: int, steps) -> Tuple[int, int, bool]:
+    def run(vpn: int, p: int) -> Tuple[int, int, bool]:
         cycles = pwc_latency
         nrefs = 0
         # probe() returns a top_level-relative chain index; clamp to the
@@ -1932,11 +1644,8 @@ def _make_agile_runner(plan: Plan, memsys: MemorySubsystem,
             lvl = chain_top
         first = ch_start[p]
         for j in range(first + chain_top - lvl, first + ch_count[p]):
-            latency = access(c_addr[j])
-            cycles += latency
+            cycles += access(c_addr[j])
             nrefs += 1
-            if steps is not None:
-                steps.append((c_tag[j], latency))
             offset = c_fo[j]
             if offset >= 0:
                 key = c_fk[j]
@@ -1949,16 +1658,10 @@ def _make_agile_runner(plan: Plan, memsys: MemorySubsystem,
         leaf = leaf_addr[p]
         if leaf < 0:
             return cycles, nrefs, False
-        latency = access(leaf)
-        cycles += latency
-        nrefs += 1
-        if steps is not None:
-            steps.append((leaf_tag[p], latency))
+        cycles += access(leaf)
         d = d_idx[p]
-        hcycles, hrefs = resolve_host(
-            d_gfn[d], d_hfn[d], d_rs[d], d_rc[d], steps,
-            d_tags[d] if steps is not None else None)
-        return cycles + hcycles, nrefs + hrefs, False
+        hcycles, hrefs = resolve_host(d_gfn[d], d_hfn[d], d_rs[d], d_rc[d])
+        return cycles + hcycles, nrefs + 1 + hrefs, False
 
     return run
 
@@ -1970,8 +1673,7 @@ def _make_asap_runner(walker: Walker, plan: Plan, memsys: MemorySubsystem,
 
     The prefetch accesses go through the shared hierarchy (installing
     lines) before the inner walk replays; the walk costs ``max(prefetch
-    completion, inner)`` while refs and step tags come from the inner
-    walk alone, and the inner walker's own walks/cycles counters mirror
+    completion, inner)`` while refs come from the inner walk alone, and the inner walker's own walks/cycles counters mirror
     the inner replays.
     """
     pf_start, pf_count, pf_addr = plan.cols
@@ -1981,7 +1683,7 @@ def _make_asap_runner(walker: Walker, plan: Plan, memsys: MemorySubsystem,
     inner = plan.spec.inner
     acc = [0, 0, 0]  # inner walks, inner cycles, prefetches issued
 
-    def run(vpn: int, p: int, steps) -> Tuple[int, int, bool]:
+    def run(vpn: int, p: int) -> Tuple[int, int, bool]:
         worst = 0
         first = pf_start[p]
         count = pf_count[p]
@@ -1992,7 +1694,7 @@ def _make_asap_runner(walker: Walker, plan: Plan, memsys: MemorySubsystem,
         acc[2] += count
         if worst and chain_hop:
             worst += chain_hop
-        cycles, nrefs, _ = inner_run(vpn, p, steps)
+        cycles, nrefs, _ = inner_run(vpn, p)
         acc[0] += 1
         acc[1] += cycles
         return (worst if worst > cycles else cycles), nrefs, False
@@ -2033,16 +1735,16 @@ def replay_walks_vec(
     walker: Walker,
     miss_vas,
     warmup_fraction: float = 0.1,
-    collect_steps: bool = False,
     chunk: int = DEFAULT_CHUNK,
 ):
     """Batched stage 2: replay a miss stream, bit-identical to scalar.
 
-    Drop-in for :func:`repro.sim.simulator.replay_walks` on walkers with
-    no :func:`unsupported_reason`: same ``WalkStats`` (cycles, refs,
-    fallbacks, step breakdown), same post-replay cache/PWC/walker state.
-    Raises ``ValueError`` for unsupported walkers; the stage-2 dispatch
-    routes those through the scalar loop.
+    Drop-in for :func:`repro.sim.simulator.replay_walks_scalar` on
+    walkers with no :func:`unsupported_reason`: same ``WalkStats``
+    (cycles, refs, fallbacks), same post-replay cache/PWC/walker state.
+    It collects no per-step breakdown — the scalar oracle does. Raises
+    ``ValueError`` for unsupported walkers; the stage-2 dispatch routes
+    those through the scalar loop.
     """
     from repro.sim.simulator import WalkStats
 
@@ -2052,8 +1754,6 @@ def replay_walks_vec(
             f"walker {walker.name!r} has no batched replay path: {reason} "
             "(use the scalar engine)")
     memsys = walker.memsys
-    record_refs = memsys.record_refs
-    collect = bool(collect_steps and record_refs)
 
     vas = np.asarray(miss_vas, dtype=np.int64)
     stats = WalkStats(design=walker.name, engine="vec")
@@ -2064,13 +1764,11 @@ def replay_walks_vec(
 
     with gc_paused():
         uniq_ordered, pidx = first_occurrence(vpns)
-        plan = plan_replay(walker, uniq_ordered, collect)
+        plan = plan_replay(walker, uniq_ordered)
         access, access_fin, access_ctx = _make_access(memsys.caches)
         finalizers: List[Callable[[], None]] = [access_fin]
         run, run_many = _make_runner(walker, plan, access, access_ctx,
                                      finalizers)
-        if collect:
-            run_many = None
 
         warmup = int(total * warmup_fraction)
         warm_cycles = 0
@@ -2080,7 +1778,6 @@ def replay_walks_vec(
         # — zero-copy (no Python-list materialization), yet iteration
         # yields native ints, so the runners' dict lookups and shifts
         # skip np.int64 scalar overhead (~25% on the radix fast path).
-        step_cycles = stats.step_cycles
         for lo, hi in ((0, warmup), (warmup, total)):
             measured = lo == warmup
             for start in range(lo, hi, chunk):
@@ -2097,38 +1794,22 @@ def replay_walks_vec(
                         warm_cycles += cycles
                 elif not measured:
                     for vpn, p in zip(chunk_vpns, chunk_rows):
-                        cycles, _nrefs, fell_back = run(vpn, p, None)
+                        cycles, _nrefs, fell_back = run(vpn, p)
                         warm_cycles += cycles
                         if fell_back:
                             warm_fallbacks += 1
-                elif not collect:
-                    for vpn, p in zip(chunk_vpns, chunk_rows):
-                        cycles, nrefs, fell_back = run(vpn, p, None)
-                        walks += 1
-                        measured_cycles += cycles
-                        refs += nrefs
-                        if fell_back:
-                            fallbacks += 1
                 else:
                     for vpn, p in zip(chunk_vpns, chunk_rows):
-                        steps = []
-                        cycles, nrefs, fell_back = run(vpn, p, steps)
+                        cycles, nrefs, fell_back = run(vpn, p)
                         walks += 1
                         measured_cycles += cycles
                         refs += nrefs
                         if fell_back:
                             fallbacks += 1
-                        position = 0
-                        for tag, latency in steps:
-                            position += 1
-                            bucket = step_cycles.setdefault(
-                                "%02d:%s" % (position, tag), [0.0, 0])
-                            bucket[0] += latency
-                            bucket[1] += 1
 
     stats.walks = walks
     stats.total_cycles = measured_cycles
-    stats.ref_count = refs if record_refs else 0
+    stats.ref_count = refs if memsys.record_refs else 0
     stats.fallbacks = fallbacks
 
     for finalize in finalizers:

@@ -16,12 +16,20 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from repro.sim.artifacts import ArtifactCache
-from repro.sim.machine import ENVIRONMENTS, SimConfig
+from repro.hw.config import xeon_gold_6138
+from repro.sim.artifacts import ArtifactCache, digest
+from repro.sim.machine import (
+    ENVIRONMENTS,
+    RUNTIME_KNOBS,
+    SimConfig,
+    _SimulationBase,
+)
 from repro.sim.simulator import Stage1Cache, WalkStats
 from repro.sim.sweep import (
     GroupTask,
@@ -245,8 +253,6 @@ def test_result_cache_evicts_corrupted_payload(tmp_path):
     stats = sim.run("dmt")
     artifacts = sim._result_artifacts()
     key = sim._stage2_key("dmt", False)
-    from repro.sim.artifacts import digest
-
     key_digest = digest("stage2", key)
     sidecar_path = [p for p in tmp_path.rglob("*.json")
                     if key_digest in p.name]
@@ -261,6 +267,44 @@ def test_result_cache_evicts_corrupted_payload(tmp_path):
     recomputed = _sim(tmp_path)
     assert recomputed.run("dmt") == stats
     assert recomputed.stage2_source("dmt") == "computed"
+
+
+def _stub_stage2_key(config, design="pvdmt"):
+    """The stage-2 key of a virt/Redis machine with ``config``, the miss
+    stream's digest fixed so only the config part can vary."""
+    stub = SimpleNamespace(config=config, env_name="virt",
+                           workload=SimpleNamespace(name="Redis"),
+                           _miss_digest=lambda: "ab" * 32)
+    return _SimulationBase._stage2_key(stub, design, False)
+
+
+def test_stage2_key_digest_is_stable():
+    """Deriving the key's config part from the dataclass keeps today's
+    digests, so existing result-cache entries stay valid."""
+    key = _stub_stage2_key(SimConfig(scale=4096, nrefs=3000, seed=3))
+    assert digest("stage2", key) == (
+        "0032b8760ec340f7c5d9cd362db4e0ee21c303c8c1a3b0b4b94a476ca658e769")
+
+
+#: A value differing from the default, for every :class:`SimConfig` field.
+ALTERED = {
+    "scale": 2048, "nrefs": 1234, "seed": 7, "thp": True, "levels": 5,
+    "machine": replace(xeon_gold_6138(), pte_cache_share=0.25),
+    "warmup_fraction": 0.2, "record_refs": True, "register_count": 8,
+    "bubble_threshold": 0.3, "scale_mmu_caches": False, "sanitize": True,
+    "stream_chunk": 7000,
+}
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(SimConfig)])
+def test_stage2_key_covers_every_result_field(name):
+    """Every field outside ``RUNTIME_KNOBS`` changes the key; a runtime
+    knob never does."""
+    base = SimConfig()
+    altered = replace(base, **{name: ALTERED[name]})
+    assert getattr(altered, name) != getattr(base, name)
+    changed = _stub_stage2_key(altered) != _stub_stage2_key(base)
+    assert changed == (name not in RUNTIME_KNOBS)
 
 
 def test_sanitize_bypasses_result_cache(tmp_path):

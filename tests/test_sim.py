@@ -90,6 +90,17 @@ class TestNestedSimulation:
         # pvDMT: at most 3 references; baseline 2D walk: many more
         assert pvdmt.mean_latency < vanilla.mean_latency * 1.5
 
+    def test_bubble_threshold_reaches_every_level(self):
+        """All three DMT-Linux instances merge TEAs under the configured
+        bubble threshold, as the native and virt machines' do."""
+        config = dataclasses.replace(SMALL, nrefs=1000, bubble_threshold=0.3)
+        sim = NestedSimulation("GUPS", config)
+        assert [dmt.bubble_threshold
+                for dmt in (sim.l0_dmt, sim.l1_dmt, sim.l2_dmt)] == [0.3] * 3
+        virt = VirtSimulation("GUPS", config)
+        assert [dmt.bubble_threshold
+                for dmt in (virt.host_dmt, virt.guest_dmt)] == [0.3] * 2
+
 
 class TestCalibration:
     def test_profiles_for_all_workloads(self):

@@ -2,16 +2,18 @@
 
 ``walk_vec.replay_walks_vec`` and ``kernels.prepare_replay_native``
 must be bit-identical to the scalar ``replay_walks_scalar`` oracle:
-same :class:`WalkStats` (including the step breakdown on the vec path),
-same walker/fetcher counters, and the same memory-subsystem state
-(cache sets + LRU order, PWC tables + thinning credits, the ECPT
-cuckoo-walk cache) after the replay. The parity cases call each engine
-directly (the ``ENGINES`` parametrization); on the native engine the
-same assertions hold whichever kernel backend (numba or pure Python) is
-active. The stage-2 dispatch (``replay_walks``/``prepare_replay``)
-derives the engine by one rule, pinned at the end of this module:
-scalar with a recorded reason when a walker cannot batch, native when
-the compiled backend loaded and no steps are collected, vec otherwise.
+same :class:`WalkStats`, same walker/fetcher counters, and the same
+memory-subsystem state (cache sets + LRU order, PWC tables + thinning
+credits, the ECPT cuckoo-walk cache) after the replay. The parity cases
+call each engine directly (the ``ENGINES`` parametrization); on the
+native engine the same assertions hold whichever kernel backend (numba
+or pure Python) is active. Neither batched engine collects the Figure 16
+step breakdown: that is the oracle's job, pinned by
+``test_fig16_step_breakdown_comes_from_the_oracle``. The stage-2
+dispatch (``replay_walks``/``prepare_replay``) derives the engine by one
+rule, pinned at the end of this module: scalar with a recorded reason
+under the sanitizer, for step collection or when a walker has no batch
+spec; native when the compiled backend loaded; vec otherwise.
 """
 
 from dataclasses import replace
@@ -24,6 +26,7 @@ from repro.hw.config import xeon_gold_6138
 from repro.sim.kernels import HAVE_NUMBA, prepare_replay_native
 from repro.sim.machine import ENVIRONMENTS, SimConfig
 from repro.sim.simulator import (
+    STEP_COLLECTION_REASON,
     Stage1Cache,
     prepare_replay,
     replay_walks,
@@ -130,19 +133,13 @@ def _design_state(walker):
 
 
 def _assert_parity(walker_scalar, walker_vec, miss_vas, engine="vec"):
+    stats_scalar = replay_walks_scalar(walker_scalar, miss_vas)
     if engine == "native":
-        # The kernels carry no step tags, so the native leg compares
-        # stats and the full post-replay state without step collection.
-        stats_scalar = replay_walks_scalar(walker_scalar, miss_vas)
         stats_vec = prepare_replay_native(walker_vec, miss_vas).execute()
     else:
-        stats_scalar = replay_walks_scalar(walker_scalar, miss_vas,
-                                           collect_steps=True)
-        stats_vec = replay_walks_vec(walker_vec, miss_vas,
-                                     collect_steps=True)
+        stats_vec = replay_walks_vec(walker_vec, miss_vas)
     assert stats_scalar.engine == "scalar" and stats_vec.engine == engine
     assert stats_scalar == stats_vec
-    assert stats_scalar.step_breakdown() == stats_vec.step_breakdown()
     assert _walker_counters(walker_scalar) == _walker_counters(walker_vec)
     assert _memsys_state(walker_scalar) == _memsys_state(walker_vec)
     assert _design_state(walker_scalar) == _design_state(walker_vec)
@@ -198,11 +195,10 @@ def test_vec_replay_matches_scalar_on_dmt_fallbacks(env, design, which,
 ])
 def test_vec_chunk_runner_matches_scalar_without_step_collection(
         env, design, pte_share):
-    """Without step collection radix-native replays take the fused
-    chunk runner (inlined probe + hierarchy, counters flushed per
-    chunk); a small chunk size exercises the flush boundaries and
-    ``pte_share`` selects between its single-set-L1 and general
-    variants."""
+    """Radix-native replays take the fused chunk runner (inlined probe +
+    hierarchy, counters flushed per chunk); a small chunk size exercises
+    the flush boundaries, and ``pte_share`` widens L1(pte) from the
+    Table 3 single set to many."""
     config = _config(seed=1)
     if pte_share is not None:
         machine = replace(xeon_gold_6138(), pte_cache_share=pte_share)
@@ -280,24 +276,40 @@ def test_explicit_native_records_backend_fallback_reason():
         assert "numba" in stats.fallback_reason
 
 
-def test_native_step_collection_delegates_to_vec(monkeypatch):
-    """Step collection needs the interpreted runners' latency tags, so
-    the dispatch resolves it to vec even with the compiled backend
-    loaded — bit-identically, and without a fallback reason."""
+def test_native_step_collection_delegates_to_scalar(monkeypatch):
+    """Only the oracle records per-step latencies, so the dispatch
+    resolves step collection to the scalar loop even with the compiled
+    backend loaded, and records why."""
     monkeypatch.setattr("repro.sim.kernels.HAVE_NUMBA", True)
-    walker_scalar, walker_vec, miss_vas = _build_pair(
+    walker_oracle, walker, miss_vas = _build_pair(
         "native", "vanilla", _config())
-    stats_scalar = replay_walks_scalar(walker_scalar, miss_vas,
+    stats_oracle = replay_walks_scalar(walker_oracle, miss_vas,
                                        collect_steps=True)
-    execute, threadable = prepare_replay(walker_vec, miss_vas,
+    execute, threadable = prepare_replay(walker, miss_vas,
                                          collect_steps=True)
     assert not threadable
-    stats_vec = execute()
-    assert stats_vec.engine == "vec"
-    assert stats_vec.fallback_reason is None
-    assert stats_scalar == stats_vec
-    assert stats_scalar.step_breakdown() == stats_vec.step_breakdown()
-    assert _memsys_state(walker_scalar) == _memsys_state(walker_vec)
+    stats = execute()
+    assert stats.engine == "scalar"
+    assert stats.fallback_reason == STEP_COLLECTION_REASON
+    assert stats == stats_oracle and stats.step_breakdown()
+    assert _memsys_state(walker_oracle) == _memsys_state(walker)
+
+
+@pytest.mark.parametrize("thp", [False, True], ids=["4KB", "THP"])
+def test_fig16_step_breakdown_comes_from_the_oracle(thp):
+    """Figure 16's one cell, scaled down: a step-collecting run reports
+    the scalar engine and why, and the two leaf fetches pvDMT keeps
+    (the guest leaf gL1/gL2 and the data host leaf hdL1) dominate the
+    nested-walk breakdown, as ``benchmarks/bench_fig16.py`` asserts."""
+    config = SimConfig(scale=4096, nrefs=4000, thp=thp, record_refs=True)
+    stats = ENVIRONMENTS["virt"]("Redis", config).run(
+        "vanilla", collect_steps=True)
+    assert stats.engine == "scalar"
+    assert "step collection" in stats.fallback_reason
+    breakdown = stats.step_breakdown()
+    kept = sum(mean for key, mean in breakdown.items()
+               if key.endswith((":gL1", ":gL2", ":hdL1")))
+    assert kept / sum(breakdown.values()) > 0.40
 
 
 def test_replay_rejects_unknown_engine():
@@ -311,11 +323,12 @@ def test_replay_rejects_unknown_engine():
 
 
 @pytest.mark.parametrize("case", ["python-backend", "sanitizer",
-                                  "compiled"])
+                                  "step-collection", "compiled"])
 def test_engine_resolution_rule(case):
     """The one resolution rule, on this process's real backend: vec on
-    the numpy-only backend, scalar plus the reason under the sanitizer,
-    native (threadable) when the compiled backend loaded."""
+    the numpy-only backend, scalar plus the reason under the sanitizer
+    or for step collection, native (threadable) when the compiled
+    backend loaded."""
     from repro.analysis import sanitizer
 
     if case == "python-backend" and HAVE_NUMBA:
@@ -325,13 +338,15 @@ def test_engine_resolution_rule(case):
     try:
         sim = (_sanitized_native_sim() if case == "sanitizer"
                else ENVIRONMENTS["native"]("GUPS", _config()))
-        execute, threadable = prepare_replay(sim.walker("dmt"),
-                                             sim.tlb.miss_vas[:64])
+        execute, threadable = prepare_replay(
+            sim.walker("dmt"), sim.tlb.miss_vas[:64],
+            collect_steps=case == "step-collection")
         stats = execute()
     finally:
         sanitizer.reset()
     expected = {"python-backend": ("vec", False, None),
                 "sanitizer": ("scalar", False, "sanitizer"),
+                "step-collection": ("scalar", False, "step collection"),
                 "compiled": ("native", True, None)}[case]
     engine, want_threadable, reason = expected
     assert (stats.engine, threadable) == (engine, want_threadable)
@@ -408,8 +423,8 @@ def test_both_engines_plan_through_one_entry(monkeypatch):
     engine = ["vec"]
     plan_replay = walk_vec.plan_replay
 
-    def recording(walker, uniq_vpns, collect):
-        plan = plan_replay(walker, uniq_vpns, collect)
+    def recording(walker, uniq_vpns):
+        plan = plan_replay(walker, uniq_vpns)
         kinds[engine[0]].append(plan.kind)
         return plan
 
@@ -451,10 +466,10 @@ def test_gc_pause_is_shared_by_both_engines(monkeypatch):
     worker = threading.Thread(target=native_execute, daemon=True)
     plan_replay = walk_vec.plan_replay
 
-    def plan_then_start_native(walker, uniq_vpns, collect):
+    def plan_then_start_native(walker, uniq_vpns):
         worker.start()
         assert entered.wait(timeout=30)
-        return plan_replay(walker, uniq_vpns, collect)
+        return plan_replay(walker, uniq_vpns)
 
     monkeypatch.setattr(walk_vec, "plan_replay", plan_then_start_native)
     sim = ENVIRONMENTS["native"]("GUPS", _config())
