@@ -15,13 +15,13 @@ tables inside TEAs (§4.3).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.arch import (
+    ENTRIES_PER_TABLE,
     PAGE_SHIFT,
     PTE_SIZE,
     PageSize,
-    level_index,
     level_shift,
 )
 from repro.analysis import sanitizer
@@ -35,6 +35,14 @@ PTE_DIRTY = 1 << 6
 PTE_HUGE = 1 << 7  # PS bit: this entry maps a huge page
 
 PTE_FLAGS_MASK = (1 << PAGE_SHIFT) - 1
+
+#: Page size of a leaf entry found at each radix level.
+_LEAF_SIZE = {1: PageSize.SIZE_4K, 2: PageSize.SIZE_2M, 3: PageSize.SIZE_1G}
+#: ``level_shift`` by level (index 0 unused), so slot arithmetic costs no
+#: call; a level-``L`` table's index key is ``va >> _SHIFT[L + 1]``.
+_SHIFT = (0,) + tuple(level_shift(level) for level in range(1, 7))
+_INDEX_MASK = ENTRIES_PER_TABLE - 1
+_PAGE_MASK = (1 << PAGE_SHIFT) - 1
 
 
 def pte_frame(pte: int) -> int:
@@ -99,7 +107,9 @@ class RadixPageTable:
         #: shadow paging uses this to model write-protection traps.
         self.write_hook = write_hook
         self.stats = PageTableStats()
-        # (level, table_key) -> frame; table_key = va >> level_shift(level+1)
+        # (level, table_key) -> frame; table_key = va >> level_shift(level+1).
+        # Invariant: exactly the non-root tables reachable from the root,
+        # so a table found here is the one a root walk would reach.
         self._tables: Dict[Tuple[int, int], int] = {}
         self._mapped_pages: Dict[int, PageSize] = {}  # leaf va_base -> size
         self.root_frame = self._new_table(self.levels, 0, PageSize.SIZE_4K, track=False)
@@ -122,7 +132,7 @@ class RadixPageTable:
         return len(self._mapped_pages)
 
     def _table_key(self, va: int, level: int) -> int:
-        return va >> level_shift(level + 1)
+        return va >> _SHIFT[level + 1]
 
     def _new_table(self, level: int, va: int, page_size: PageSize, track: bool = True) -> int:
         frame = self.placement.place_table(level, va, page_size)
@@ -146,7 +156,8 @@ class RadixPageTable:
     # ------------------------------------------------------------------ #
 
     def _entry_addr(self, table_frame: int, va: int, level: int) -> int:
-        return frame_to_addr(table_frame) + level_index(va, level) * PTE_SIZE
+        return (frame_to_addr(table_frame)
+                + ((va >> _SHIFT[level]) & _INDEX_MASK) * PTE_SIZE)
 
     def _write_pte(self, addr: int, value: int) -> None:
         self.memory.write_word(addr, value)
@@ -157,6 +168,9 @@ class RadixPageTable:
     def _descend(self, va: int, leaf_level: int, create: bool,
                  page_size: PageSize = PageSize.SIZE_4K) -> Optional[int]:
         """Return the physical address of the leaf PTE slot at ``leaf_level``."""
+        frame = self._tables.get((leaf_level, va >> _SHIFT[leaf_level + 1]))
+        if frame is not None:
+            return self._entry_addr(frame, va, leaf_level)
         frame = self.root_frame
         for level in range(self.levels, leaf_level, -1):
             addr = self._entry_addr(frame, va, level)
@@ -194,12 +208,67 @@ class RadixPageTable:
                 raise ValueError("huge-page frame must be size aligned")
             flags |= PTE_HUGE
         slot = self._descend(base, leaf_level, create=True, page_size=page_size)
+        if leaf_level > 1:
+            old = self.memory.read_word(slot)
+            if old & PTE_PRESENT and not old & PTE_HUGE:
+                self._retire_table(base, leaf_level - 1, pte_frame(old))
+        self._set_leaf(slot, base, pfn, page_size, flags)
+        return slot
+
+    def _set_leaf(self, slot: int, base: int, pfn: int, page_size: PageSize,
+                  flags: int) -> None:
         if sanitizer.active():
             sanitizer.check_pte_target(base, pfn, page_size,
                                        self.memory.total_frames)
         self._write_pte(slot, make_pte(pfn, flags))
         self._mapped_pages[base] = page_size
-        return slot
+
+    def map_pages(self, vas: Iterable[int],
+                  frame_for: Callable[[int, int], Optional[int]]) -> int:
+        """Map 4 KB pages at ascending ``vas``.
+
+        The bulk form of ``lookup``-then-``map``: each 2 MB span's leaf
+        table is resolved once and its slots are read and filled in place.
+        For each page in turn, ``frame_for(va, pte)`` gets the PTE mapping
+        ``va`` now (a covering huge leaf's, or 0 when unmapped) and returns
+        the frame to map there, or None to leave the page alone; a mapped
+        page is unmapped first. ``frame_for`` must not remap pages of this
+        table itself. Every effect of the per-page calls happens as it
+        would there, in the same order: ``frame_for``'s own allocations
+        come before the tables a first mapping creates, and each mapping
+        makes one PTE write and ``write_hook`` call, one ``_mapped_pages``
+        insertion and the sanitizer's checks. Returns the number of pages
+        mapped.
+        """
+        read = self.memory.read_word
+        span = table = None
+        mapped = 0
+        for va in vas:
+            if va >> _SHIFT[2] != span:
+                span = va >> _SHIFT[2]
+                table = self._tables.get((1, span))
+            if table is None:
+                found = self.lookup(va)
+                pte = found[1] if found is not None else 0
+            else:
+                slot = (frame_to_addr(table)
+                        + ((va >> _SHIFT[1]) & _INDEX_MASK) * PTE_SIZE)
+                pte = read(slot)
+                if not pte & PTE_PRESENT:
+                    pte = 0
+            frame = frame_for(va, pte)
+            if frame is None:
+                continue
+            mapped += 1
+            if pte:
+                self.unmap(va)
+            if table is None:
+                self.map(va, frame)
+                table = self._tables.get((1, span))
+            else:
+                self._set_leaf(slot, va & ~_PAGE_MASK, frame,
+                               PageSize.SIZE_4K, PTE_PRESENT | PTE_WRITE)
+        return mapped
 
     def unmap(self, va: int, page_size: Optional[PageSize] = None) -> Optional[int]:
         """Clear the leaf PTE for ``va``; returns the frame it mapped."""
@@ -215,19 +284,47 @@ class RadixPageTable:
             sanitizer.check_unmap_coherence(self.asid, va, size)
         return pte_frame(pte)
 
+    def _retire_table(self, va: int, level: int, frame: int) -> None:
+        """Drop the level-``level`` table covering ``va`` before a huge
+        leaf replaces the entry pointing at it (khugepaged promotion)."""
+        base = frame_to_addr(frame)
+        if any(self.memory.read_word(base + index * PTE_SIZE) & PTE_PRESENT
+               for index in range(ENTRIES_PER_TABLE)):
+            raise ValueError(
+                f"va {va:#x}: level-{level} table still maps pages; a "
+                f"level-{level + 1} huge mapping cannot replace it"
+            )
+        self._tables.pop((level, self._table_key(va, level)), None)
+        self._release_table(frame, level, va)
+
+    def _release_table(self, frame: int, level: int, va: int) -> None:
+        if not self.placement.table_released(frame, level, va):
+            self.memory.allocator.free_pages(frame)
+        self.stats.tables_freed += 1
+
     def lookup(self, va: int) -> Optional[Tuple[int, int, PageSize]]:
-        """(leaf PTE address, PTE value, page size) for ``va`` if mapped."""
-        frame = self.root_frame
-        for level in range(self.levels, 0, -1):
+        """(leaf PTE address, PTE value, page size) for ``va`` if mapped.
+
+        Starts at the lowest indexed table covering ``va`` (the root if
+        none): by the ``_tables`` invariant a walk from there reads the
+        tail of a root walk, so a mapped page costs one index probe per
+        level above its leaf and one read.
+        """
+        for level in range(1, self.levels):
+            frame = self._tables.get((level, va >> _SHIFT[level + 1]))
+            if frame is not None:
+                break
+        else:
+            level, frame = self.levels, self.root_frame
+        while True:
             addr = self._entry_addr(frame, va, level)
             pte = self.memory.read_word(addr)
             if not pte & PTE_PRESENT:
                 return None
             if level == 1 or pte & PTE_HUGE:
-                size = {1: PageSize.SIZE_4K, 2: PageSize.SIZE_2M, 3: PageSize.SIZE_1G}[level]
-                return addr, pte, size
+                return addr, pte, _LEAF_SIZE[level]
             frame = pte_frame(pte)
-        return None
+            level -= 1
 
     def translate(self, va: int) -> Optional[Tuple[int, PageSize]]:
         """Full software translation: ``va`` -> (physical address, page size)."""
@@ -309,10 +406,7 @@ class RadixPageTable:
     def destroy(self) -> None:
         """Free every table page (not the mapped data frames)."""
         for (level, key), frame in list(self._tables.items()):
-            va = key << level_shift(level + 1)
-            if not self.placement.table_released(frame, level, va):
-                self.memory.allocator.free_pages(frame)
-            self.stats.tables_freed += 1
+            self._release_table(frame, level, key << level_shift(level + 1))
         self._tables.clear()
         self.memory.allocator.free_pages(self.root_frame)
         self._mapped_pages.clear()

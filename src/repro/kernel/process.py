@@ -83,12 +83,20 @@ class Process:
                 mapped += self._map_huge(va)
                 va += PageSize.SIZE_2M.bytes
             else:
-                if self.page_table.lookup(va) is None:
-                    frame = self.memory.allocator.alloc_pages(0, movable=True)
-                    self.page_table.map(va, frame, PageSize.SIZE_4K)
-                mapped += 1
-                va += PAGE_SIZE
+                # 4 KB pages up to the next 2 MB boundary, where the
+                # huge-page test runs again
+                end = min(vma.end, (va | (PageSize.SIZE_2M.bytes - 1)) + 1)
+                pages = range(va, end, PAGE_SIZE)
+                self.page_table.map_pages(pages, self._new_frame)
+                mapped += len(pages)
+                va += len(pages) * PAGE_SIZE
         return mapped
+
+    def _new_frame(self, va: int, pte: int) -> Optional[int]:
+        """A fresh frame for an unmapped page (``map_pages`` callback)."""
+        if pte:
+            return None
+        return self.memory.allocator.alloc_pages(0, movable=True)
 
     def _map_huge(self, va: int) -> int:
         if self.page_table.lookup(va) is not None:

@@ -387,7 +387,9 @@ class _SimulationBase:
             or self._fetch_stage2(design, collect_steps)
         if stats is not None:
             return PreparedCell(stats=stats)
-        walker = self.walker(design)
+        with obs_trace.span("stage2.walker_build", env=self.env_name,
+                            workload=self.workload.name, design=design):
+            walker = self.walker(design)
         miss_vas = self.tlb.miss_vas
         warmup = self.config.warmup_fraction
         threadable = False

@@ -82,6 +82,8 @@ class CuckooTable:
         self._way_frames: List[int] = []
         # tags[way][bucket] = group id + 1 (0 = empty); mirrors tag bits
         self._tags: List[Dict[int, int]] = []
+        # group -> its way hashes before the modulo, so they outlive resizes
+        self._mixes: Dict[int, Tuple[int, ...]] = {}
         self._allocate_ways()
 
     # ------------------------------------------------------------------ #
@@ -105,8 +107,17 @@ class CuckooTable:
     def _bucket_addr(self, way: int, bucket: int) -> int:
         return (self._way_frames[way] << PAGE_SHIFT) + bucket * _LINE_BYTES
 
+    def _way_mixes(self, group: int) -> Tuple[int, ...]:
+        """``_mix`` of ``group`` under each way's seed, computed once."""
+        mixes = self._mixes.get(group)
+        if mixes is None:
+            mixes = self._mixes[group] = tuple(
+                _mix(group, _WAY_SEEDS[way % len(_WAY_SEEDS)] + way)
+                for way in range(self.ways))
+        return mixes
+
     def _bucket_of(self, group: int, way: int) -> int:
-        return _mix(group, _WAY_SEEDS[way % len(_WAY_SEEDS)] + way) % self.nbuckets
+        return self._way_mixes(group)[way] % self.nbuckets
 
     # ------------------------------------------------------------------ #
     # Hash-table operations
@@ -114,10 +125,10 @@ class CuckooTable:
 
     def candidate_addrs(self, vpn: int) -> List[int]:
         """Line addresses probed in parallel for ``vpn`` (one per way)."""
-        group = vpn >> 3
+        mixes = self._way_mixes(vpn >> 3)
         slot = vpn & 7
         return [
-            self._bucket_addr(way, self._bucket_of(group, way)) + slot * 8
+            self._bucket_addr(way, mixes[way] % self.nbuckets) + slot * 8
             for way in range(self.ways)
         ]
 

@@ -117,9 +117,18 @@ class VM:
         gpa = gpa_start
         end = gpa_start + nbytes
         host_alloc = self.hypervisor.host_memory.allocator
+        huge = PageSize.SIZE_2M.bytes
+
+        def back_4k(page: int, pte: int) -> Optional[int]:
+            if pte:
+                return None
+            hfn = host_alloc.alloc_pages(0, movable=True)
+            self._reverse[hfn] = page >> PAGE_SHIFT
+            return hfn
+
         while gpa < end:
-            if page_size == PageSize.SIZE_2M and gpa % page_size.bytes == 0 \
-                    and gpa + page_size.bytes <= end \
+            if page_size == PageSize.SIZE_2M and gpa % huge == 0 \
+                    and gpa + huge <= end \
                     and self.ept.table_frame(gpa, 1) is None:
                 if self.ept.lookup(gpa) is None:
                     hfn = host_alloc.alloc_pages(9, movable=True)
@@ -127,13 +136,13 @@ class VM:
                     gfn = gpa >> PAGE_SHIFT
                     for i in range(512):
                         self._reverse[hfn + i] = gfn + i
-                gpa += page_size.bytes
+                gpa += huge
             else:
-                if self.ept.lookup(gpa) is None:
-                    hfn = host_alloc.alloc_pages(0, movable=True)
-                    self.ept.map(gpa, hfn, PageSize.SIZE_4K)
-                    self._reverse[hfn] = gpa >> PAGE_SHIFT
-                gpa += PAGE_SIZE
+                # 4 KB pages up to the next 2 MB boundary, where the
+                # huge-page test runs again
+                pages = range(gpa, min(end, (gpa | (huge - 1)) + 1), PAGE_SIZE)
+                self.ept.map_pages(pages, back_4k)
+                gpa += len(pages) * PAGE_SIZE
 
     # dmtlint-domain: return=gpa -- takes host frames, returns the base gPA
     def map_host_frames(self, host_frame: int, npages: int) -> int:

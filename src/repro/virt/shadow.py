@@ -14,9 +14,11 @@ table of Figure 3 by composing the two hypervisors' tables.
 
 from __future__ import annotations
 
+import itertools
+from typing import Callable, Iterable, Iterator, Optional
 
 from repro.arch import PAGE_SHIFT, PAGE_SIZE, PageSize
-from repro.kernel.page_table import RadixPageTable
+from repro.kernel.page_table import PTE_HUGE, RadixPageTable, pte_frame
 from repro.kernel.process import Process
 from repro.virt.hypervisor import VM
 
@@ -58,18 +60,24 @@ class ShadowPager:
         """
         installed = 0
         guest_pt = self.guest_process.page_table
-        for base_va, size in sorted(guest_pt._mapped_pages.items()):
-            installed += self._shadow_one(base_va, size)
+        for size, run in itertools.groupby(
+                sorted(guest_pt._mapped_pages.items()), key=lambda m: m[1]):
+            bases = [base for base, _ in run]
+            if size == PageSize.SIZE_4K:
+                installed += self._install_4k(bases, self._guest_gpa)
+            else:
+                for base in bases:
+                    installed += self._shadow_huge(base, size)
         return installed
 
-    def _shadow_one(self, va: int, size: PageSize) -> int:
+    def _guest_gpa(self, va: int) -> Optional[int]:
         translated = self.guest_process.page_table.translate(va)
-        if translated is None:
+        return None if translated is None else translated[0]
+
+    def _shadow_huge(self, va: int, size: PageSize) -> int:
+        gpa = self._guest_gpa(va)
+        if gpa is None:
             return 0
-        gpa = translated[0]
-        if size == PageSize.SIZE_4K:
-            hpa = self.vm.gpa_to_hpa(gpa)
-            return int(self._install(va, hpa, PageSize.SIZE_4K))
         # Huge guest page: shadow it hugely only if the host backing is a
         # matching aligned huge EPT leaf; otherwise fracture into 4 KB.
         ept_leaf = self.vm.ept.lookup(gpa)
@@ -79,11 +87,22 @@ class ShadowPager:
             and gpa % size.bytes == 0
         ):
             return int(self._install(va, self.vm.gpa_to_hpa(gpa), size))
-        count = 0
-        for offset in range(0, size.bytes, PAGE_SIZE):
-            hpa = self.vm.gpa_to_hpa(gpa + offset)
-            count += int(self._install(va + offset, hpa, PageSize.SIZE_4K))
-        return count
+        return self._install_4k(range(va, va + size.bytes, PAGE_SIZE),
+                                lambda page: gpa + (page - va))
+
+    def _install_4k(self, vas: Iterable[int],
+                    gpa_of: Callable[[int], Optional[int]]) -> int:
+        """Shadow the ascending 4 KB pages ``vas``: the bulk form of
+        :meth:`_install`, one host-backing lookup per page."""
+        def frame_for(va: int, pte: int) -> Optional[int]:
+            gpa = gpa_of(va)
+            if gpa is None:
+                return None
+            hfn = self.vm.gpa_to_hpa(gpa) >> PAGE_SHIFT
+            if pte and not pte & PTE_HUGE and pte_frame(pte) == hfn:
+                return None  # already correct
+            return hfn
+        return self.spt.map_pages(vas, frame_for)
 
     def _install(self, va: int, hpa: int, size: PageSize) -> bool:
         """Install one shadow entry; returns False if already correct."""
@@ -125,15 +144,18 @@ class NestedShadowPager:
         self.l2_vm.ept.write_hook = self._prior_hook
 
     def sync(self) -> int:
-        installed = 0
-        for gpa_base, size in sorted(self.l2_vm.ept._mapped_pages.items()):
-            l1pa = self.l2_vm.ept.translate(gpa_base)
-            if l1pa is None:
-                continue
+        ept = self.l2_vm.ept
+
+        def pages() -> Iterator[int]:
             # fracture to 4 KB: L1->L0 backing is rarely contiguous at 2 MB
-            for offset in range(0, size.bytes, PAGE_SIZE):
-                l0pa = self.l1_vm.gpa_to_hpa(l1pa[0] + offset)
-                if self.spt.lookup(gpa_base + offset) is None:
-                    self.spt.map(gpa_base + offset, l0pa >> PAGE_SHIFT, PageSize.SIZE_4K)
-                    installed += 1
-        return installed
+            for gpa_base, size in sorted(ept._mapped_pages.items()):
+                yield from range(gpa_base, gpa_base + size.bytes, PAGE_SIZE)
+
+        def frame_for(gpa: int, pte: int) -> Optional[int]:
+            l1pa = ept.translate(gpa)
+            if l1pa is None:
+                return None
+            l0pa = self.l1_vm.gpa_to_hpa(l1pa[0])
+            return None if pte else l0pa >> PAGE_SHIFT
+
+        return self.spt.map_pages(pages(), frame_for)

@@ -144,3 +144,23 @@ class TestManagementLedger:
         native.record("tea_create")
         nested.record("tea_create")
         assert nested.total_us == pytest.approx(native.total_us * 50)
+
+
+class TestPromotionUnderMigration:
+    def test_promoted_huge_page_survives_tea_migration(self, kernel, dmt):
+        """khugepaged's 2 MB leaf must outlive a later TEA migration: the
+        replaced leaf table leaves the page table's index, so migration
+        finds no table to relocate over the huge entry."""
+        from repro.kernel.thp import promote
+
+        proc = kernel.create_process()
+        vma = proc.mmap(4 * MB, populate=True)
+        assert promote(proc, vma.start)
+        before = proc.page_table.lookup(vma.start)
+        assert before[2] == PageSize.SIZE_2M
+        assert proc.page_table.table_frame(vma.start, 1) is None
+        proc.addr_space.grow(vma, 64 * MB)  # the 4 KB TEA migrates
+        dmt.reload_registers(proc)
+        assert proc.page_table.lookup(vma.start) == before
+        assert proc.page_table.translate(vma.start + 0x1234) == (
+            (before[1] >> 12 << 12) + 0x1234, PageSize.SIZE_2M)

@@ -447,3 +447,28 @@ class TestSweepIntegration:
         assert stage1["seconds"] <= cells["vanilla"]["stage1_seconds"]
         assert stage1["seconds"] == pytest.approx(
             cells["vanilla"]["stage1_seconds"], rel=0.25, abs=0.05)
+
+    def test_walker_build_span_per_computed_cell(self, tmp_path):
+        """One ``stage2.walker_build`` span per computed cell, carrying
+        the cell's env/workload/design; a warm sweep builds no walker."""
+        def traced(name):
+            trace_path = str(tmp_path / f"{name}.jsonl")
+            document = run_sweep(
+                envs=["native", "virt"], workloads=["GUPS"],
+                designs=["vanilla", "dmt"], workers=1, scale=4096,
+                nrefs=2000, trace_path=trace_path,
+                artifact_dir=str(tmp_path / "artifacts"))
+            builds = [(e["env"], e["workload"], e["design"])
+                      for e in trace.read_events(trace_path)
+                      if e["name"] == "stage2.walker_build"]
+            return document, builds
+
+        cold, builds = traced("cold")
+        computed = [(c["env"], c["workload"], c["design"])
+                    for c in cold["cells"]
+                    if c["stage2_source"] == "computed"]
+        assert len(computed) == 4
+        assert sorted(builds) == sorted(computed)
+        warm, builds = traced("warm")
+        assert {c["stage2_source"] for c in warm["cells"]} == {"disk"}
+        assert builds == []
