@@ -13,16 +13,6 @@ Not a paper figure — this bench guards the simulator's own performance:
   while letting ecpt ship at 1.18x unflagged), with bit-identical
   :class:`WalkStats` — results are recorded in ``BENCH_engine.json``
   at the repo root;
-* when the compiled kernel backend imported (numba), the native engine
-  is timed too and must clear ``NATIVE_FLOORS`` (>= 10x on the vanilla
-  radix walk, >= 3x elsewhere) — on the pure-Python backend the same
-  kernels run bit-identically but at interpreter speed, so the native
-  leg is recorded as untimed rather than penalized;
-* the two-level executor must replay a native+virt GUPS group with
-  ``REPRO_BENCH_CELL_THREADS`` threads bit-identically to sequential
-  replay, and >= 2x faster on the numba backend (nogil kernels; the
-  interpreter backend holds the GIL, so its floor is recorded null) —
-  archived in ``BENCH_engine.json``'s ``group`` section;
 * the process-parallel sweep runner must produce the same cells as an
   inline run, and scale with worker count when cores are available.
 
@@ -38,8 +28,6 @@ import time
 import numpy as np
 
 from repro.analysis.report import banner, format_table
-from repro.sim.kernels import BACKEND as KERNEL_BACKEND
-from repro.sim.kernels import HAVE_NUMBA, prepare_replay_native
 from repro.sim.simulator import (
     Stage1Cache,
     make_size_lookup,
@@ -48,7 +36,7 @@ from repro.sim.simulator import (
     tlb_filter,
     tlb_filter_scalar,
 )
-from repro.sim.sweep import build_sim, run_design_stats, run_sweep
+from repro.sim.sweep import build_sim, run_sweep
 from repro.sim.walk_vec import replay_walks_vec
 from repro.sim import NativeSimulation, SimConfig
 
@@ -59,27 +47,10 @@ NREFS = int(os.environ.get("REPRO_BENCH_ENGINE_NREFS", "40000"))
 MIN_SPEEDUP = float(os.environ.get("REPRO_BENCH_MIN_SPEEDUP", "3.0"))
 #: Timing rounds per engine for the stage-2 comparison.
 ROUNDS = int(os.environ.get("REPRO_BENCH_ENGINE_ROUNDS", "5"))
-#: CI legs that install numba pin the backend they expect: a numba leg
-#: silently falling back to the pure-Python kernels would record
-#: "untimed" native columns and gut the bench without failing it.
-EXPECT_BACKEND = os.environ.get("REPRO_BENCH_EXPECT_BACKEND")
-#: Thread count for the two-level executor group bench.
-CELL_THREADS = int(os.environ.get("REPRO_BENCH_CELL_THREADS", "4"))
 
 #: Where the stage-2 engine comparison is archived (repo root).
 RESULTS_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                             os.pardir, "BENCH_engine.json")
-
-
-def test_kernel_backend_expected():
-    """Fail fast when the CI leg's pinned kernel backend didn't load."""
-    if not EXPECT_BACKEND:
-        print(f"kernel backend: {KERNEL_BACKEND} (no expectation pinned)")
-        return
-    assert KERNEL_BACKEND == EXPECT_BACKEND, \
-        (f"REPRO_BENCH_EXPECT_BACKEND={EXPECT_BACKEND} but the kernels "
-         f"loaded the {KERNEL_BACKEND!r} backend — the bench would time "
-         f"the wrong engine")
 
 
 def _stage1_inputs():
@@ -160,21 +131,12 @@ VEC_FLOORS = {
     "asap": 1.8, "dmt": 1.25, "agile": 1.6, "pvdmt": 1.2,
 }
 
-#: Compiled-backend floors, enforced only when numba imported: the
-#: native kernels must reach >= 10x on the vanilla radix walk and
-#: >= 3x on every other design (the pure-Python backend is for
-#: bit-identity, not speed, and is never timed here).
-NATIVE_FLOORS = {design: (10.0 if design == "vanilla" else 3.0)
-                 for design in VEC_FLOORS}
-
 #: Each stage-2 engine, called directly: the bench times engines side
-#: by side, which the stage-2 dispatch (one engine per process) never
+#: by side, which the stage-2 dispatch (one engine per cell) never
 #: does.
 ENGINE_REPLAYS = {
     "scalar": replay_walks_scalar,
     "vec": replay_walks_vec,
-    "native": lambda walker, miss_vas: prepare_replay_native(
-        walker, miss_vas).execute(),
 }
 
 
@@ -193,7 +155,7 @@ def test_stage2_vectorized_speedup(benchmark):
     config = SimConfig(scale=SCALE, nrefs=NREFS)
     stage1 = Stage1Cache()
     floor_scale = MIN_SPEEDUP / 3.0
-    engines = ("scalar", "vec") + (("native",) if HAVE_NUMBA else ())
+    engines = tuple(ENGINE_REPLAYS)
 
     rows, results = [], []
     for env, design in STAGE2_CASES:
@@ -215,16 +177,9 @@ def test_stage2_vectorized_speedup(benchmark):
                 (f"{env}/{design}: engines diverged — {engine} must be "
                  "bit-identical")
         floor = VEC_FLOORS[design] * floor_scale
-        native_seconds = best.get("native")
-        native_speedup = (best["scalar"] / native_seconds
-                          if native_seconds else None)
-        native_floor = (NATIVE_FLOORS[design] * floor_scale
-                        if HAVE_NUMBA else None)
         rows.append([f"{env}/{design}", f"{best['scalar'] * 1e3:.1f} ms",
                      f"{best['vec'] * 1e3:.1f} ms",
-                     f"{speedup:.2f}x (>={floor:.2f})",
-                     (f"{native_speedup:.2f}x" if native_speedup
-                      else "untimed"), walks])
+                     f"{speedup:.2f}x (>={floor:.2f})", walks])
         results.append({
             "design": f"{env}/{design}",
             "env": env,
@@ -233,17 +188,13 @@ def test_stage2_vectorized_speedup(benchmark):
             "vec_seconds": best["vec"],
             "speedup": speedup,
             "floor": floor,
-            "native_seconds": native_seconds,
-            "native_speedup": native_speedup,
-            "native_floor": native_floor,
             "walks": walks,
         })
 
-    print(banner(f"Stage-2 engine: GUPS, nrefs={NREFS}, "
-                 f"kernel backend {KERNEL_BACKEND}"))
+    print(banner(f"Stage-2 engine: GUPS, nrefs={NREFS}"))
     print(format_table(
         ["env/design", f"scalar (best of {ROUNDS})",
-         f"vec (best of {ROUNDS})", "vec speedup", "native", "walks"],
+         f"vec (best of {ROUNDS})", "vec speedup", "walks"],
         rows,
     ))
     best_speedup = max(entry["speedup"] for entry in results)
@@ -258,8 +209,7 @@ def test_stage2_vectorized_speedup(benchmark):
         json.dump({
             "meta": {"workload": "GUPS", "scale": SCALE,
                      "nrefs": NREFS, "min_speedup": MIN_SPEEDUP,
-                     "rounds": ROUNDS,
-                     "kernel_backend": KERNEL_BACKEND},
+                     "rounds": ROUNDS},
             "stage2": results,
         }, handle, indent=2)
         handle.write("\n")
@@ -271,103 +221,12 @@ def test_stage2_vectorized_speedup(benchmark):
     slow = [f"{e['design']} {e['speedup']:.2f}x < {e['floor']:.2f}x"
             for e in results if e["speedup"] < e["floor"]]
     assert not slow, f"designs below their recorded vec floor: {slow}"
-    if HAVE_NUMBA:
-        slow_native = [
-            f"{e['design']} {e['native_speedup']:.2f}x "
-            f"< {e['native_floor']:.2f}x"
-            for e in results if e["native_speedup"] < e["native_floor"]]
-        assert not slow_native, \
-            f"designs below their native floor: {slow_native}"
 
     sim = NativeSimulation("GUPS", config, stage1=stage1)
     benchmark.pedantic(
         lambda: replay_walks_vec(sim.walker("dmt"), sim.tlb.miss_vas),
         rounds=3, iterations=1,
     )
-
-
-#: Two-level executor floor: a GUPS group replayed with ``CELL_THREADS``
-#: threads must beat the sequential replay by >= 2x when the compiled
-#: (nogil) backend is available. Interpreter-mode kernels hold the GIL,
-#: so the floor is recorded as null there — threads can't help.
-GROUP_FLOOR = 2.0
-
-
-def test_group_cell_thread_scaling():
-    """Thread-parallel group replay vs sequential, on one GUPS group.
-
-    Replays every (env, design) cell of a native+virt GUPS group
-    through :func:`run_design_stats` with 1 and with ``CELL_THREADS``
-    threads — stage 1 shared through one :class:`Stage1Cache`, fresh
-    machines per timed round (replay mutates cache/PWC state), rounds
-    alternating like the stage-2 bench. Results must be bit-identical;
-    the speedup is archived in ``BENCH_engine.json``'s ``group``
-    section and (on the numba backend) must clear ``GROUP_FLOOR``.
-    """
-    config = SimConfig(scale=SCALE, nrefs=NREFS)
-    stage1 = Stage1Cache()
-    envs = ("native", "virt")
-    seconds = {1: [], CELL_THREADS: []}
-    stats = {}
-    rounds = max(1, ROUNDS // 2)
-    for _ in range(rounds):
-        for threads in (1, CELL_THREADS):
-            total = 0.0
-            merged = {}
-            for env in envs:
-                sim = build_sim(env, "GUPS", config, stage1=stage1)
-                designs = list(sim.designs)
-                start = time.perf_counter()
-                env_stats = run_design_stats(sim, designs,
-                                             cell_threads=threads)
-                total += time.perf_counter() - start
-                merged.update({f"{env}/{d}": s
-                               for d, s in env_stats.items()})
-            seconds[threads].append(total)
-            stats[threads] = merged
-    assert stats[1] == stats[CELL_THREADS], \
-        (f"cell_threads={CELL_THREADS} diverged from sequential replay "
-         "— the two-level executor must be bit-identical")
-    best_seq = min(seconds[1])
-    best_par = min(seconds[CELL_THREADS])
-    speedup = best_seq / best_par
-    floor = GROUP_FLOOR if HAVE_NUMBA else None
-
-    print(banner(f"Two-level executor: GUPS group, nrefs={NREFS}, "
-                 f"kernel backend {KERNEL_BACKEND}"))
-    print(f"1 thread : {best_seq * 1e3:.1f} ms   "
-          f"{CELL_THREADS} threads: {best_par * 1e3:.1f} ms   "
-          f"speedup {speedup:.2f}x "
-          f"(floor {floor if floor else 'none — GIL-bound backend'}, "
-          f"{len(stats[1])} cells, best of {rounds})")
-
-    # Merge into the document test_stage2_vectorized_speedup wrote (or
-    # start a fresh one when this bench runs alone).
-    try:
-        with open(RESULTS_PATH, "r", encoding="utf-8") as handle:
-            document = json.load(handle)
-    except (OSError, ValueError):
-        document = {"meta": {"workload": "GUPS", "scale": SCALE,
-                             "nrefs": NREFS,
-                             "kernel_backend": KERNEL_BACKEND}}
-    document["group"] = {
-        "workload": "GUPS",
-        "cells": len(stats[1]),
-        "cell_threads": CELL_THREADS,
-        "seconds_1": best_seq,
-        "seconds_n": best_par,
-        "speedup": speedup,
-        "floor": floor,
-        "kernel_backend": KERNEL_BACKEND,
-    }
-    with open(RESULTS_PATH, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2)
-        handle.write("\n")
-
-    if floor:
-        assert speedup >= floor, \
-            (f"group replay with {CELL_THREADS} threads only {speedup:.2f}x "
-             f"over sequential (floor {floor}x)")
 
 
 def _telemetry_free(document):

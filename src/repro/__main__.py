@@ -86,10 +86,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                   file=sys.stderr)
             return 2
 
-        from repro.sim.sweep import run_design_stats
-
-        stats = run_design_stats(sim, designs,
-                                 cell_threads=args.cell_threads)
+        stats = {design: sim.run(design) for design in designs}
         vanilla = stats.get("vanilla") or sim.run("vanilla")
         rows = []
         for design, st in stats.items():
@@ -131,6 +128,14 @@ def _grid_args(args: argparse.Namespace):
     artifact_dir = None if args.no_artifact_cache \
         else (args.artifact_cache or ".repro-artifacts")
     return envs, workloads, designs, thp_modes[args.pages], artifact_dir
+
+
+def _removed_cell_threads(value: str) -> int:
+    """``--cell-threads``: only the sequential value 1 is accepted."""
+    if value.strip() != "1":
+        raise argparse.ArgumentTypeError(
+            "--cell-threads was removed: stage 2 replays cells sequentially")
+    return 1
 
 
 def _config_kwargs(args: argparse.Namespace) -> dict:
@@ -192,7 +197,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             thp_modes=thp_modes, workers=args.workers,
             out_path=args.out, progress=print, trace_path=args.trace,
             artifact_dir=artifact_dir, resume_dir=args.resume,
-            cell_threads=args.cell_threads,
             **_config_kwargs(args),
         )
     except (KeyError, ValueError) as error:
@@ -222,7 +226,7 @@ def _cmd_jobs(args: argparse.Namespace) -> int:
             workers=args.workers, shard_timeout=args.timeout,
             max_retries=args.max_retries, out_path=args.out,
             progress=print, trace_path=args.trace,
-            artifact_dir=artifact_dir, cell_threads=args.cell_threads)
+            artifact_dir=artifact_dir)
         print(f"job {spec.job_id} journaled under {job_dir}")
         return _print_sweep_summary(document, args, artifact_dir)
     if args.jobs_command == "status":
@@ -241,7 +245,6 @@ def _cmd_jobs(args: argparse.Namespace) -> int:
                 args.job_dir, workers=args.workers,
                 shard_timeout=args.timeout, max_retries=args.max_retries,
                 out_path=args.out, progress=print, trace_path=args.trace,
-                cell_threads=args.cell_threads,
                 artifact_dir=None if args.no_artifact_cache
                 else (args.artifact_cache or ".repro-artifacts"))
         except (FileNotFoundError, ValueError) as error:
@@ -348,9 +351,6 @@ def main(argv=None) -> int:
                      help="comma-separated subset (default: all)")
     run.add_argument("--thp", action="store_true",
                      help="transparent huge pages in every layer")
-    run.add_argument("--cell-threads", type=int, default=1,
-                     help="replay this many designs on concurrent threads "
-                          "(nogil native kernels; default: 1)")
 
     gridopts = argparse.ArgumentParser(add_help=False)
     gridopts.add_argument("--env", default="native",
@@ -366,10 +366,10 @@ def main(argv=None) -> int:
                           help="page-size modes to sweep (default: 4k)")
     gridopts.add_argument("--workers", type=int, default=None,
                           help="worker processes (default: all cores)")
-    gridopts.add_argument("--cell-threads", type=int, default=1,
-                          help="replay threads per worker process: each "
-                               "group's (env, design) cells fan out over "
-                               "nogil native kernels (default: 1)")
+    # Accepted only as 1, the value existing benchmark command lines
+    # pass; hidden from --help.
+    gridopts.add_argument("--cell-threads", type=_removed_cell_threads,
+                          default=1, help=argparse.SUPPRESS)
 
     sweep = sub.add_parser("sweep", parents=[common, simopts, gridopts],
                            help="run the workload×design grid in parallel")
@@ -422,9 +422,6 @@ def main(argv=None) -> int:
         help="re-run the missing shards of an interrupted job")
     jobs_resume.add_argument("job_dir")
     jobs_resume.add_argument("--workers", type=int, default=None)
-    jobs_resume.add_argument("--cell-threads", type=int, default=1,
-                             help="replay threads per worker process "
-                                  "(default: 1)")
     jobs_resume.add_argument("--trace", default=None, metavar="PATH")
     jobs_resume.add_argument("--artifact-cache", default=None, metavar="DIR")
     jobs_resume.add_argument("--no-artifact-cache", action="store_true")
@@ -482,7 +479,7 @@ def main(argv=None) -> int:
 
     # handled before parsing (free-form paths); listed here for --help only
     sub.add_parser("lint", help="run dmtlint, the simulator-invariant "
-                                "static-analysis pass (rules L1-L7)")
+                                "static-analysis pass (rules L1-L5, L7)")
 
     args = parser.parse_args(argv)
     handler = {"list": _cmd_list, "run": _cmd_run, "sweep": _cmd_sweep,

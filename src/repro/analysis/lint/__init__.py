@@ -25,9 +25,9 @@ families (run as ``python -m repro lint`` and in CI):
   annotations — and flags cross-domain arithmetic (L501), arguments
   contradicting the callee's parameter domain (L502), and returns
   contradicting the function's declared domain (L503).
-* **L6 — kernel nopython purity**: every ``@jit``-decorated kernel in
-  ``sim/kernels/`` must stay inside the numba nopython-safe subset, so
-  JIT compile breakage is caught without numba installed.
+* **L7 — streaming hygiene**: the stage-0→1 streaming path must not
+  gather chunk iterators back into whole-trace arrays
+  (:mod:`repro.analysis.lint.streaming`).
 
 Violations can be locally waived with ``# dmtlint: ignore[L101]`` (or a
 bare ``# dmtlint: ignore``); fixture files opt into scoped rules with a

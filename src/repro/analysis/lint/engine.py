@@ -16,13 +16,8 @@ Scopes
     ``core/costs.py``, ``sim/perfmodel.py`` and ``obs/regress.py`` —
     calibrated constants need paper/DESIGN.md citations (rule L3).
 ``vec``
-    ``sim/tlb_vec.py``, ``sim/walk_vec.py``, the ``obs/`` modules and
-    everything under ``sim/kernels/`` — public functions need oracle
-    test references (rule L4).
-``kernels``
-    Files under ``sim/kernels/`` (which also carry ``vec``) — every
-    public kernel must *declare* its scalar-oracle counterpart with an
-    ``Oracle:`` line in its docstring (rule L402).
+    ``sim/tlb_vec.py``, ``sim/walk_vec.py`` and the ``obs/`` modules —
+    public functions need oracle test references (rule L4).
 ``streaming``
     The stage-0→1 streaming path (``sim/tlb_vec.py``, ``sim/machine.py``,
     ``sim/artifacts.py``, ``workloads/base.py``,
@@ -65,10 +60,6 @@ COSTS_FILES = (("core", "costs.py"), ("sim", "perfmodel.py"),
 VEC_FILES = (("sim", "tlb_vec.py"), ("sim", "walk_vec.py"),
              ("obs", "metrics.py"), ("obs", "trace.py"),
              ("obs", "regress.py"))
-#: Directory holding the native chunk kernels: scoped ``vec`` (L401's
-#: oracle-test requirement) plus ``kernels`` (L402's declared-oracle
-#: requirement).
-KERNELS_DIR = ("sim", "kernels")
 #: (parent dir, file name) pairs on the streaming stage-0→1 path,
 #: where rule L7 forbids whole-stream materialization.
 STREAMING_FILES = (("sim", "tlb_vec.py"), ("sim", "machine.py"),
@@ -86,7 +77,7 @@ class Violation:
     col: int
     message: str
     #: Machine-readable supporting facts (L5 domain evidence like
-    #: ``left=gpa right=hpa``, L6 kernel names); None for L1-L4.
+    #: ``left=gpa right=hpa``); None for the other families.
     evidence: Optional[str] = None
 
     @property
@@ -189,8 +180,6 @@ class FileContext:
             scopes.add("costs")
         if tail in VEC_FILES:
             scopes.add("vec")
-        if tuple(parts[-3:-1]) == KERNELS_DIR:
-            scopes.update(("vec", "kernels"))
         if tail in STREAMING_FILES:
             scopes.add("streaming")
         for line in self.source.splitlines()[:20]:
@@ -199,8 +188,6 @@ class FileContext:
                 scopes.update(
                     name.strip() for name in match.group(1).split(",") if name.strip()
                 )
-        if "kernels" in scopes:
-            scopes.add("vec")  # kernels are vec engine code: L401 + L402
         return scopes
 
     def _collect_ignores(self) -> Dict[int, Set[str]]:
@@ -286,12 +273,11 @@ class L5AddressDomains(ProgramRule):
 
 def _registry() -> List[Rule]:
     from repro.analysis.lint.provenance import L3Provenance, L4EngineParity
-    from repro.analysis.lint.purity import L6KernelPurity
     from repro.analysis.lint.rules import L1AddressArithmetic, L2Determinism
     from repro.analysis.lint.streaming import L7StreamingHygiene
 
     return [L1AddressArithmetic(), L2Determinism(), L3Provenance(),
-            L4EngineParity(), L6KernelPurity(), L7StreamingHygiene()]
+            L4EngineParity(), L7StreamingHygiene()]
 
 
 ALL_RULES: List[Rule] = []

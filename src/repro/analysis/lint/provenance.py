@@ -15,11 +15,6 @@ L4 findings
   (``sim/tlb_vec.py``) that no test file references by name. The
   vectorized engine is only trustworthy while every entry point is
   pinned against the scalar oracle.
-* ``L402`` — a public top-level function of a ``kernels``-scoped file
-  (``sim/kernels/``) whose docstring carries no ``Oracle:`` line. The
-  native kernels run compiled, outside the sanitizer's reach, so each
-  one must *declare* which scalar structure/method it mirrors — the
-  declaration is what the parity tests are checked against.
 """
 
 from __future__ import annotations
@@ -107,7 +102,6 @@ class L4EngineParity(Rule):
         if not corpus:
             return []
         out: List[Violation] = []
-        kernels_scoped = "kernels" in ctx.scopes
         for name, node in self._public_functions(ctx.tree):
             if not re.search(rf"\b{re.escape(name)}\b", corpus):
                 out.append(Violation(
@@ -116,15 +110,6 @@ class L4EngineParity(Rule):
                     f"reference in tests/; add a parity test against the "
                     f"scalar engine",
                 ))
-            if kernels_scoped:
-                docstring = ast.get_docstring(node) or ""
-                if "Oracle:" not in docstring:
-                    out.append(Violation(
-                        "L402", path, node.lineno, node.col_offset,
-                        f"public kernel '{name}' declares no scalar oracle; "
-                        f"add an 'Oracle: <structure/method>' line to its "
-                        f"docstring",
-                    ))
         return out
 
     @staticmethod

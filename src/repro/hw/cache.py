@@ -10,8 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-import numpy as np
-
 from repro.hw.config import CacheConfig, MachineConfig
 from repro.obs import metrics
 
@@ -80,45 +78,6 @@ class CacheBatchView:
     latency: int
     name: str
     stats: CacheStats
-
-
-@dataclass
-class CacheArrayView:
-    """Flat ndarray snapshot of one cache level (native kernel engine).
-
-    ``tags[set * assoc : set * assoc + nvalid[set]]`` holds the set's
-    line addresses in LRU order, oldest first — the same order the
-    insertion-ordered set dicts keep; unused slots are ``-1``. Unlike
-    :class:`CacheBatchView` (live dicts, mutations apply immediately)
-    this is a *copy*: kernels mutate the arrays freely and the caller
-    must invoke :meth:`writeback` exactly once afterwards to rebuild
-    the owning cache's dict state. Between ``array_view()`` and
-    ``writeback()`` the owner must not be accessed through any other
-    path (the dicts are stale). Stats are not carried here — kernels
-    accumulate hit/miss counters separately and flush them to
-    :class:`CacheStats` themselves.
-    """
-
-    tags: np.ndarray      # int64[num_sets * assoc], -1 = invalid
-    nvalid: np.ndarray    # int64[num_sets], live ways per set
-    line_shift: int
-    num_sets: int
-    assoc: int
-    latency: int
-    name: str
-    stats: CacheStats
-    owner: "SetAssociativeCache"
-
-    def writeback(self) -> None:
-        """Rebuild the owner's set dicts from the (mutated) arrays."""
-        sets = self.owner._sets
-        sets.clear()
-        assoc = self.assoc
-        tags = self.tags
-        for idx in np.nonzero(self.nvalid)[0].tolist():
-            base = idx * assoc
-            count = int(self.nvalid[idx])
-            sets[idx] = {int(tags[base + k]): None for k in range(count)}
 
 
 class SetAssociativeCache:
@@ -198,33 +157,6 @@ class SetAssociativeCache:
             latency=self.config.latency,
             name=self.config.name.split("(")[0],
             stats=self.stats,
-        )
-
-    def array_view(self) -> CacheArrayView:
-        """Flat ndarray state copy for the native kernel engine.
-
-        See :class:`CacheArrayView` for the writeback contract.
-        """
-        tags = np.full(self._num_sets * self._assoc, -1, dtype=np.int64)
-        nvalid = np.zeros(self._num_sets, dtype=np.int64)
-        assoc = self._assoc
-        for idx, ways in self._sets.items():
-            base = idx * assoc
-            count = 0
-            for line in ways:
-                tags[base + count] = line
-                count += 1
-            nvalid[idx] = count
-        return CacheArrayView(
-            tags=tags,
-            nvalid=nvalid,
-            line_shift=self._line_shift,
-            num_sets=self._num_sets,
-            assoc=self._assoc,
-            latency=self.config.latency,
-            name=self.config.name.split("(")[0],
-            stats=self.stats,
-            owner=self,
         )
 
 

@@ -19,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.arch import level_shift
 from repro.hw.config import PWCConfig
 from repro.analysis import sanitizer
@@ -95,68 +93,6 @@ class NestedPWCBatchView:
     accept: float
     stats: "PWCStats"
     owner: "NestedPWC"   # credit lives on the owner (float, write back)
-
-
-@dataclass
-class PWCArrayView:
-    """Flat ndarray snapshot of a :class:`PageWalkCache` (native kernels).
-
-    ``keys[level, :sizes[level]]`` / ``vals[level, ...]`` hold each
-    level's entries in LRU order, oldest first (unused slots ``-1``).
-    This is a *copy* of the live tables: the caller mutates the arrays
-    and must call :meth:`writeback` exactly once afterwards; the owner
-    must not be probed through any other path in between. ``accept``
-    is all-zeros with ``has_accept`` False when thinning is off.
-    Hit/miss stats are not carried — kernels accumulate them
-    separately and flush to :class:`PWCStats` themselves; ``credit``
-    *is* carried (and written back) because it is replay state.
-    """
-
-    keys: np.ndarray          # int64[levels, max_capacity]
-    vals: np.ndarray          # int64[levels, max_capacity]
-    sizes: np.ndarray         # int64[levels], live entries per level
-    capacities: np.ndarray    # int64[levels]
-    key_shifts: np.ndarray    # int64[levels], VA -> lookup key shifts
-    has_accept: bool
-    accept: np.ndarray        # float64[levels]
-    credit: np.ndarray        # float64[levels]
-    top_level: int
-    stats: "PWCStats"
-    owner: "PageWalkCache"
-
-    def writeback(self) -> None:
-        """Rebuild the owner's LRU tables and credits from the arrays."""
-        for offset, table in enumerate(self.owner._tables):
-            count = int(self.sizes[offset])
-            table._entries = {int(self.keys[offset, k]):
-                              int(self.vals[offset, k])
-                              for k in range(count)}
-        credit = self.owner._credit
-        for offset in range(len(credit)):
-            credit[offset] = float(self.credit[offset])
-
-
-@dataclass
-class NestedPWCArrayView:
-    """Flat ndarray snapshot of a :class:`NestedPWC` (native kernels).
-
-    Same copy/writeback contract as :class:`PWCArrayView`, over the
-    single gfn -> hfn LRU table.
-    """
-
-    keys: np.ndarray      # int64[capacity], LRU order, oldest first
-    vals: np.ndarray      # int64[capacity]
-    meta: np.ndarray      # int64[2]: [live entries, capacity]
-    accept: float
-    credit: np.ndarray    # float64[1], written back to the owner
-    stats: "PWCStats"
-    owner: "NestedPWC"
-
-    def writeback(self) -> None:
-        count = int(self.meta[0])
-        self.owner._table._entries = {int(self.keys[k]): int(self.vals[k])
-                                      for k in range(count)}
-        self.owner._credit = float(self.credit[0])
 
 
 class _LRUTable:
@@ -279,40 +215,6 @@ class PageWalkCache:
             stats=self.stats,
         )
 
-    def array_view(self) -> "PWCArrayView":
-        """Flat ndarray state copy for the native kernel engine.
-
-        See :class:`PWCArrayView` for the writeback contract.
-        """
-        nlev = len(self._tables)
-        maxcap = max(table.capacity for table in self._tables)
-        keys = np.full((nlev, maxcap), -1, dtype=np.int64)
-        vals = np.full((nlev, maxcap), -1, dtype=np.int64)
-        sizes = np.zeros(nlev, dtype=np.int64)
-        for offset, table in enumerate(self._tables):
-            for k, (key, val) in enumerate(table._entries.items()):
-                keys[offset, k] = key
-                vals[offset, k] = val
-            sizes[offset] = len(table._entries)
-        accept = (np.asarray(self._accept, dtype=np.float64)
-                  if self._accept is not None
-                  else np.zeros(nlev, dtype=np.float64))
-        return PWCArrayView(
-            keys=keys,
-            vals=vals,
-            sizes=sizes,
-            capacities=np.array([t.capacity for t in self._tables],
-                                dtype=np.int64),
-            key_shifts=np.array([level_shift(self.top_level - offset)
-                                 for offset in range(nlev)], dtype=np.int64),
-            has_accept=self._accept is not None,
-            accept=accept,
-            credit=np.asarray(self._credit, dtype=np.float64),
-            top_level=self.top_level,
-            stats=self.stats,
-            owner=self,
-        )
-
     def fill(self, va: int, level: int, table_addr: int) -> None:
         """Record that the level-``level`` table for ``va`` lives at ``table_addr``."""
         offset = self.top_level - 1 - level
@@ -379,28 +281,6 @@ class NestedPWC:
             owner=self,
         )
 
-    def array_view(self) -> "NestedPWCArrayView":
-        """Flat ndarray state copy for the native kernel engine.
-
-        See :class:`NestedPWCArrayView` for the writeback contract.
-        """
-        capacity = self._table.capacity
-        keys = np.full(capacity, -1, dtype=np.int64)
-        vals = np.full(capacity, -1, dtype=np.int64)
-        for k, (key, val) in enumerate(self._table._entries.items()):
-            keys[k] = key
-            vals[k] = val
-        return NestedPWCArrayView(
-            keys=keys,
-            vals=vals,
-            meta=np.array([len(self._table._entries), capacity],
-                          dtype=np.int64),
-            accept=self._accept,
-            credit=np.array([self._credit], dtype=np.float64),
-            stats=self.stats,
-            owner=self,
-        )
-
 
 def cwc_key(size: int, group: int) -> int:
     """A :class:`CuckooWalkCache` key: ``(size, group)`` packed as one int.
@@ -447,41 +327,3 @@ class CuckooWalkCache:
 
     def flush(self) -> None:
         self._entries.clear()
-
-    def array_view(self) -> "CWCArrayView":
-        """Flat ndarray state copy for the native kernel engine.
-
-        See :class:`CWCArrayView` for the writeback contract.
-        """
-        keys = np.full(self.capacity, -1, dtype=np.int64)
-        ways = np.full(self.capacity, -1, dtype=np.int64)
-        for slot, (key, way) in enumerate(self._entries.items()):
-            keys[slot] = key
-            ways[slot] = way
-        return CWCArrayView(
-            keys=keys,
-            ways=ways,
-            meta=np.array([len(self._entries), self.capacity],
-                          dtype=np.int64),
-            owner=self,
-        )
-
-
-@dataclass
-class CWCArrayView:
-    """Flat ndarray snapshot of a :class:`CuckooWalkCache` (native kernels).
-
-    Same copy/writeback contract as the cache/PWC array views: mutate
-    the arrays, then call :meth:`writeback` exactly once; hit/miss
-    counters are accumulated by the kernels and flushed separately.
-    """
-
-    keys: np.ndarray      # int64[capacity], LRU order oldest first, -1 empty
-    ways: np.ndarray      # int64[capacity]
-    meta: np.ndarray      # int64[2]: [live entries, capacity]
-    owner: "CuckooWalkCache"
-
-    def writeback(self) -> None:
-        count = int(self.meta[0])
-        self.owner._entries = {int(self.keys[k]): int(self.ways[k])
-                               for k in range(count)}

@@ -84,10 +84,10 @@ def compare_bench(current: Dict, baseline: Dict,
                   tolerance: float = DEFAULT_TOLERANCE) -> List[Regression]:
     """Regressions of the engine bench against its baseline.
 
-    Beyond the throughput-within-tolerance check, each design's
-    vec (and, when timed, native) speedup must clear its per-design
-    floor — the baseline's recorded floor when present (the archived
-    contract), else the floor the current bench recorded for itself.
+    Beyond the throughput-within-tolerance check, each design's vec
+    speedup must clear its per-design floor — the baseline's recorded
+    floor when present (the archived contract), else the floor the
+    current bench recorded for itself.
     """
     current_wps = bench_walks_per_second(current)
     out: List[Regression] = []
@@ -106,24 +106,12 @@ def compare_bench(current: Dict, baseline: Dict,
                         for entry in baseline.get("stage2", [])}
     for entry in current.get("stage2", []):
         base_entry = baseline_entries.get(entry["design"], {})
-        for speed_key, floor_key in (("speedup", "floor"),
-                                     ("native_speedup", "native_floor")):
-            floor = base_entry.get(floor_key) or entry.get(floor_key)
-            speed = entry.get(speed_key)
-            if floor and speed is not None and speed < floor:
-                out.append(Regression(
-                    "speedup_floor", f"bench:{entry['design']}:{speed_key}",
-                    floor, speed, floor))
-    # Two-level executor: group replay with N cell threads must keep
-    # beating 1 thread by the recorded floor (set only on the numba
-    # backend — interpreter threads share the GIL and can't speed up).
-    base_group = baseline.get("group") or {}
-    cur_group = current.get("group") or {}
-    group_floor = base_group.get("floor") or cur_group.get("floor")
-    group_speed = cur_group.get("speedup")
-    if group_floor and group_speed is not None and group_speed < group_floor:
-        out.append(Regression("speedup_floor", "bench:group:cell_threads",
-                              group_floor, group_speed, group_floor))
+        floor = base_entry.get("floor") or entry.get("floor")
+        speed = entry.get("speedup")
+        if floor and speed is not None and speed < floor:
+            out.append(Regression(
+                "speedup_floor", f"bench:{entry['design']}:speedup",
+                floor, speed, floor))
     return out
 
 
@@ -215,13 +203,6 @@ def trajectory_record(bench: Optional[Dict], sweep: Optional[Dict],
     }
     if bench is not None:
         record["bench_walks_per_second"] = bench_walks_per_second(bench)
-        group = bench.get("group")
-        if group:
-            record["bench_group"] = {
-                "cell_threads": group.get("cell_threads"),
-                "speedup": group.get("speedup"),
-                "kernel_backend": group.get("kernel_backend"),
-            }
     if stream is not None and stream.get("stream"):
         entry = stream["stream"]
         record["stage1_stream"] = {
@@ -247,7 +228,6 @@ def trajectory_record(bench: Optional[Dict], sweep: Optional[Dict],
                 _cell_label(_cell_key(c)): c["mean_latency"] for c in cells
             },
             "wall_seconds": sweep.get("meta", {}).get("wall_seconds"),
-            "cell_threads": sweep.get("meta", {}).get("cell_threads"),
             "stage2_warm_hit_ratio": (warm / len(cells)) if cells else None,
             "group_wall_seconds": (sum(group_walls.values())
                                    if group_walls else None),

@@ -54,7 +54,6 @@ def run_resumable_sweep(job_dir: str,
                         artifact_dir: Optional[str] = None,
                         shard_timeout: Optional[float] = None,
                         max_retries: Optional[int] = None,
-                        cell_threads: Optional[int] = None,
                         **config_kwargs) -> Dict:
     """``run_sweep`` semantics on top of the jobs layer.
 
@@ -73,8 +72,7 @@ def run_resumable_sweep(job_dir: str,
                  f"(CLI grid flags ignored)")
     scheduler_kwargs = dict(workers=workers, out_path=out_path,
                             progress=progress, trace_path=trace_path,
-                            artifact_dir=artifact_dir,
-                            cell_threads=cell_threads)
+                            artifact_dir=artifact_dir)
     if shard_timeout is not None:
         scheduler_kwargs["shard_timeout"] = shard_timeout
     if max_retries is not None:

@@ -86,7 +86,6 @@ class JobScheduler:
                  out_path: Optional[str] = None,
                  trace_path: Optional[str] = None,
                  artifact_dir: Optional[str] = None,
-                 cell_threads: Optional[int] = None,
                  progress: Optional[Callable[[str], None]] = None,
                  run_fn: Optional[Callable] = None):
         # A config no shard can build refuses the job before the
@@ -102,7 +101,6 @@ class JobScheduler:
         self.out_path = out_path
         self.trace_path = trace_path
         self.artifact_dir = artifact_dir
-        self.cell_threads = max(1, int(cell_threads or 1))
         self.notify = progress or (lambda message: None)
         # Injectable for tests (suicidal/sleeping workers); must be
         # picklable for the pool path.
@@ -243,8 +241,7 @@ class JobScheduler:
         for index, shard in enumerate(shards):
             if self._cancel_requested():
                 return charged, shards[index:]
-            task = self.spec.task(shard, self.trace_path, self.artifact_dir,
-                                  self.cell_threads)
+            task = self.spec.task(shard, self.trace_path, self.artifact_dir)
             started = time.perf_counter()
             try:
                 cells = self._run_fn(task)
@@ -278,8 +275,7 @@ class JobScheduler:
                 while pending and len(running) < pool_size:
                     shard = pending[0]
                     task = self.spec.task(shard, self.trace_path,
-                                          self.artifact_dir,
-                                          self.cell_threads)
+                                          self.artifact_dir)
                     try:
                         future = pool.submit(self._run_fn, task)
                     except (BrokenProcessPool, RuntimeError):
@@ -440,8 +436,6 @@ class JobScheduler:
             "config": dict(spec.config),
             "workers": pool_size,
             "requested_workers": self.workers,
-            "cell_threads": self.cell_threads,
-            "parallelism": pool_size * self.cell_threads,
             "groups": self._total,
             "cells": len(cells),
             "wall_seconds": time.time() - started,

@@ -132,17 +132,9 @@ class JobSpec:
                 for workload in self.workloads for thp in self.thp_modes]
 
     def task(self, shard: Shard, trace_path: Optional[str] = None,
-             artifact_dir: Optional[str] = None,
-             cell_threads: int = 1) -> GroupTask:
-        """The picklable :class:`GroupTask` for one shard.
-
-        ``cell_threads`` is a runtime knob (like ``trace_path``): it
-        changes how fast a shard replays, never what it computes, so it
-        is deliberately absent from :meth:`canonical` and ``job_id`` —
-        a resumed job may use a different thread count.
-        """
+             artifact_dir: Optional[str] = None) -> GroupTask:
+        """The picklable :class:`GroupTask` for one shard."""
         return GroupTask(envs=self.envs, workload=shard.workload,
                          thp=shard.thp, designs=self.designs,
                          config=dict(self.config), trace_path=trace_path,
-                         artifact_dir=artifact_dir,
-                         cell_threads=max(1, int(cell_threads or 1)))
+                         artifact_dir=artifact_dir)

@@ -20,7 +20,7 @@ import tempfile
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -41,7 +41,6 @@ from repro.sim.simulator import (
     TLBFilterResult,
     WalkStats,
     make_size_lookup,
-    prepare_replay,
     replay_walks,
     tlb_accept_rates,
     tlb_filter,
@@ -270,44 +269,6 @@ def _stage2_state(walker: Walker) -> Dict:
     return state
 
 
-class PreparedCell:
-    """One design's cell, split into prepare, execute and commit.
-
-    ``prepare_run`` consults the per-design memo and the stage-2 result
-    cache and, on a miss, runs every order-dependent step (walker
-    build, and for a threadable engine its planning and state checkout)
-    on the calling thread. What remains is ``execute()`` — the replay
-    itself, safe on a worker thread iff ``threadable`` — and
-    ``commit(stats)``, which must run back on the preparing thread (it
-    writes the memo and the result cache, and artifact I/O opens trace
-    spans that are process-global). A memo or result-cache hit arrives
-    with its stats in hand: ``execute`` returns them and ``commit`` is a
-    no-op.
-    """
-
-    def __init__(self, stats: Optional[WalkStats] = None,
-                 execute: Optional[Callable[[], WalkStats]] = None,
-                 commit: Optional[Callable[[WalkStats], WalkStats]] = None,
-                 walker: Optional[Walker] = None, threadable: bool = False):
-        self.stats = stats
-        self.walker = walker
-        self.threadable = threadable
-        self._execute = execute
-        self._commit = commit
-
-    def execute(self) -> WalkStats:
-        """Replay the cell; thread-safe only when ``threadable``."""
-        if self.stats is not None:
-            return self.stats
-        return self._execute()
-
-    def commit(self, stats: WalkStats) -> WalkStats:
-        """Finalize on the preparing thread: memo + result-cache store."""
-        if self.stats is None:
-            self.stats = self._commit(stats)
-        return self.stats
-
-
 class _SimulationBase:
     """Shared stage-1 plumbing."""
 
@@ -360,62 +321,30 @@ class _SimulationBase:
     def run(self, design: str, collect_steps: bool = False) -> WalkStats:
         """Replay the miss stream through one design (cached per design).
 
-        ``prepare_run`` → ``execute`` → ``commit`` on the calling
-        thread. Consults, in order: the in-process per-design memo, the
+        Consults, in order: the in-process per-design memo, the
         content-addressed stage-2 result cache (when an artifact cache
-        is attached and ``sanitize`` is off), and only then replays — a
-        warm run with unchanged inputs does zero replay.
-        """
-        cell = self.prepare_run(design, collect_steps)
-        return cell.commit(cell.execute())
-
-    def prepare_run(self, design: str, collect_steps: bool = False,
-                    threaded: bool = False) -> PreparedCell:
-        """Split one design's replay into prepare, execute and commit.
-
-        Memo/result-cache consultation and the walker build happen now,
-        on the calling thread. Without ``threaded`` the cell's
-        ``execute()`` is one :func:`replay_walks` call, inline. With it,
-        the engine's order-dependent work also runs now
-        (:func:`~repro.sim.simulator.prepare_replay`), and ``execute()``
-        may run on a worker thread when the cell is ``threadable``;
-        ``commit(stats)`` must then run back on this thread. Either way
-        the result is bit-identical (DESIGN.md §15).
+        is attached and ``sanitize`` is off), and only then builds the
+        walker, replays and commits the cell to both — a warm run with
+        unchanged inputs does zero replay.
         """
         key = f"{design}:{collect_steps}"
         stats = self._stats_cache.get(key) \
             or self._fetch_stage2(design, collect_steps)
         if stats is not None:
-            return PreparedCell(stats=stats)
+            return stats
         with obs_trace.span("stage2.walker_build", env=self.env_name,
                             workload=self.workload.name, design=design):
             walker = self.walker(design)
-        miss_vas = self.tlb.miss_vas
-        warmup = self.config.warmup_fraction
-        threadable = False
-        if threaded:
-            execute, threadable = prepare_replay(
-                walker, miss_vas, warmup_fraction=warmup,
-                collect_steps=collect_steps)
-        else:
-            def execute() -> WalkStats:
-                with obs_trace.span("stage2.replay", env=self.env_name,
-                                    workload=self.workload.name,
-                                    design=design,
-                                    thp=self.config.thp) as sp:
-                    stats = replay_walks(walker, miss_vas,
-                                         warmup_fraction=warmup,
-                                         collect_steps=collect_steps)
-                    if sp is not None:
-                        sp["walks"] = stats.walks
-                        sp["engine"] = stats.engine
-                return stats
-
-        def commit(stats: WalkStats) -> WalkStats:
-            return self._commit_stage2(design, collect_steps, stats, walker)
-
-        return PreparedCell(execute=execute, commit=commit, walker=walker,
-                            threadable=threadable)
+        with obs_trace.span("stage2.replay", env=self.env_name,
+                            workload=self.workload.name, design=design,
+                            thp=self.config.thp) as sp:
+            stats = replay_walks(walker, self.tlb.miss_vas,
+                                 warmup_fraction=self.config.warmup_fraction,
+                                 collect_steps=collect_steps)
+            if sp is not None:
+                sp["walks"] = stats.walks
+                sp["engine"] = stats.engine
+        return self._commit_stage2(design, collect_steps, stats, walker)
 
     def stage2_source(self, design: str, collect_steps: bool = False) -> str:
         """Where ``run(design)``'s stats came from: "computed" or "disk"."""
@@ -446,9 +375,9 @@ class _SimulationBase:
         The config part is every :class:`SimConfig` field except the
         :data:`RUNTIME_KNOBS`, plus the workload, so a new field joins
         the key without an edit here. The miss-stream digest subsumes
-        the stage-1 knobs; the stage-2 engine is deliberately absent because all engines are
-        bit-identical on supported designs, so cells cached by one
-        engine serve the others. The cost-model version constant
+        the stage-1 knobs; the stage-2 engine is deliberately absent
+        because both engines are bit-identical, so a cell cached by one
+        serves the other. The cost-model version constant
         invalidates every cached cell when calibrated latencies change.
         """
         config = {name: value

@@ -14,23 +14,15 @@ flat set/way arrays. :func:`tlb_filter_scalar`, the per-reference
 oracle; the two are bit-identical by construction and by test
 (``tests/test_tlb_vec.py``).
 
-Stage 2 has three engines that are bit-identical on every design they
-support: :func:`replay_walks_scalar` (the per-walk oracle),
-:func:`repro.sim.walk_vec.replay_walks_vec` (batched), and the native
-kernels of :mod:`repro.sim.kernels`. No setting picks between them;
-:func:`prepare_replay` derives the engine from facts it can see, by one
-rule:
-
-* the sanitizer is active, the walker has no batched path
-  (:func:`repro.sim.walk_vec.unsupported_reason` names why), or the
-  Figure 16 step breakdown was asked for (``collect_steps``: only the
-  oracle records per-step latencies) → scalar, with the reason recorded
-  as ``WalkStats.fallback_reason``;
-* the compiled kernel backend loaded → native, planned at prepare time
-  and safe to execute on a worker thread;
-* otherwise → vec.
-
-:func:`replay_walks` is prepare-then-execute on the calling thread.
+Stage 2 has two engines that are bit-identical on every design:
+:func:`replay_walks_scalar` (the per-walk oracle) and
+:func:`repro.sim.walk_vec.replay_walks_vec` (batched). No setting picks
+between them; :func:`replay_walks` derives the engine from facts it can
+see, by one rule: the sanitizer is active, the walker has no batched
+path (:func:`repro.sim.walk_vec.unsupported_reason` names why), or the
+Figure 16 step breakdown was asked for (``collect_steps``: only the
+oracle records per-step latencies) → scalar, with the reason recorded
+as ``WalkStats.fallback_reason``; otherwise → vec.
 """
 
 from __future__ import annotations
@@ -199,13 +191,13 @@ class WalkStats:
     ref_count: int = 0
     #: per-position mean breakdown for Figure 16 (tag -> [sum, count])
     step_cycles: Dict[str, List[float]] = field(default_factory=dict)
-    #: Which stage-2 engine produced these stats ("scalar", "vec" or
-    #: "native"). Telemetry only — excluded from equality so parity
-    #: tests can compare the engines' WalkStats directly.
+    #: Which stage-2 engine produced these stats ("scalar" or "vec").
+    #: Telemetry only — excluded from equality so parity tests can
+    #: compare the engines' WalkStats directly.
     engine: str = field(default="scalar", compare=False)
     #: Why the replay ran on the scalar loop (the
     #: :func:`repro.sim.walk_vec.unsupported_reason` string or
-    #: :data:`STEP_COLLECTION_REASON`), or None when a batched engine
+    #: :data:`STEP_COLLECTION_REASON`), or None when the vec engine
     #: ran. Telemetry only, like ``engine``.
     fallback_reason: Optional[str] = field(default=None, compare=False)
 
@@ -307,48 +299,6 @@ def replay_walks_scalar(
     return stats
 
 
-def prepare_replay(
-    walker: Walker,
-    miss_vas: Union[np.ndarray, Sequence[int]],
-    warmup_fraction: float = 0.1,
-    collect_steps: bool = False,
-) -> Tuple[Callable[[], WalkStats], bool]:
-    """Pick the stage-2 engine for one cell and split it into
-    ``(execute, threadable)``.
-
-    This is the only place an engine is chosen, by the rule in the
-    module docstring. The native engine's order-dependent planning and
-    ``array_view()`` checkout run *now*, on the calling thread
-    (:func:`repro.sim.kernels.prepare_replay_native`), and ``execute``
-    only drives ``nogil`` kernels — ``threadable=True``. For vec and
-    scalar, ``execute`` is the whole replay and must run on the calling
-    thread in cell order — ``threadable=False`` — because their planning
-    mutates lazily populated structures shared across a simulation's
-    cells (DESIGN.md §15). ``execute()`` returns the cell's
-    :class:`WalkStats` either way.
-    """
-    from repro.sim import walk_vec
-    from repro.sim.kernels import HAVE_NUMBA, prepare_replay_native
-
-    reason = walk_vec.unsupported_reason(walker)
-    if reason is None and collect_steps:
-        reason = STEP_COLLECTION_REASON
-    if reason is None and HAVE_NUMBA:
-        return prepare_replay_native(
-            walker, miss_vas, warmup_fraction=warmup_fraction).execute, True
-
-    def execute() -> WalkStats:
-        if reason is None:
-            return walk_vec.replay_walks_vec(
-                walker, miss_vas, warmup_fraction=warmup_fraction)
-        stats = replay_walks_scalar(walker, miss_vas, warmup_fraction,
-                                    collect_steps)
-        stats.fallback_reason = reason
-        return stats
-
-    return execute, False
-
-
 def replay_walks(
     walker: Walker,
     miss_vas: Union[np.ndarray, Sequence[int]],
@@ -357,14 +307,22 @@ def replay_walks(
 ) -> WalkStats:
     """Run stage 2: replay the miss stream through one design.
 
-    :func:`prepare_replay` then ``execute()``, both on the calling
-    thread; the engine follows from the walker and the process, never
-    from a setting.
+    This is the only place an engine is chosen, by the rule in the
+    module docstring; the engine follows from the walker and the
+    process, never from a setting.
     """
-    execute, _threadable = prepare_replay(
-        walker, miss_vas, warmup_fraction=warmup_fraction,
-        collect_steps=collect_steps)
-    return execute()
+    from repro.sim import walk_vec
+
+    reason = walk_vec.unsupported_reason(walker)
+    if reason is None and collect_steps:
+        reason = STEP_COLLECTION_REASON
+    if reason is None:
+        return walk_vec.replay_walks_vec(
+            walker, miss_vas, warmup_fraction=warmup_fraction)
+    stats = replay_walks_scalar(walker, miss_vas, warmup_fraction,
+                                collect_steps)
+    stats.fallback_reason = reason
+    return stats
 
 
 class Stage1Cache:

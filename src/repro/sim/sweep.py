@@ -11,18 +11,10 @@ workload and config, not the environment). Groups are independent, so
 they fan out across worker processes with
 :class:`concurrent.futures.ProcessPoolExecutor`.
 
-Within one group the executor is **two-level** (DESIGN.md §15): the
-group's independent (env, design) cells can replay concurrently on
-``cell_threads`` threads of the worker process, sharing the memmapped
-miss stream with no pickling. Each cell's order-dependent prepare
-(walker build, vec planning, ``array_view()`` checkout) runs on the
-group's main thread in deterministic cell order; only the ``nogil``
-kernel execution is handed to the thread pool, so cell *k+1*'s planning
-overlaps cell *k*'s kernels and results stay bit-identical to
-sequential replay. Cells without a threadable engine (vec/scalar)
-complete inline at their prepare position. :func:`replay_cells` runs
-that prepare / submit-or-inline / in-order-commit cycle for sweep
-groups and ``python -m repro run`` alike.
+Within one group the cells replay sequentially, in design order:
+planning touches lazily populated structures shared by a machine's
+cells, so a cell's result may depend on the cells before it, and the
+order is part of the contract.
 
 Each grid cell reports telemetry alongside its simulation statistics:
 stage-1 wall time and whether it was served from the group's memo,
@@ -38,17 +30,11 @@ Exposed through ``python -m repro sweep`` and reused by
 
 from __future__ import annotations
 
-import contextlib
 import json
 import os
 import resource
 import time
-from concurrent.futures import (
-    Future,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    as_completed,
-)
+from concurrent.futures import Future, ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -56,7 +42,7 @@ from repro.obs import metrics
 from repro.obs import trace as obs_trace
 from repro.sim.artifacts import ArtifactCache
 from repro.sim.machine import ENVIRONMENTS, SimConfig
-from repro.sim.simulator import Stage1Cache, WalkStats
+from repro.sim.simulator import Stage1Cache
 
 #: The paper's seven evaluation workloads (Table 1 order).
 ALL_WORKLOADS = ["Redis", "Memcached", "GUPS", "BTree", "Canneal",
@@ -79,8 +65,6 @@ class GroupTask(NamedTuple):
     trace_path: Optional[str] = None
     #: Cross-run artifact-cache directory, or None.
     artifact_dir: Optional[str] = None
-    #: Replay threads per group (1: sequential cell replay).
-    cell_threads: int = 1
 
 
 def build_sim(env: str, workload: str, config: SimConfig,
@@ -199,18 +183,6 @@ def effective_workers(workers: int, tasks: int) -> int:
     return min(workers, tasks)
 
 
-def effective_split(workers: int, tasks: int,
-                    cell_threads: Optional[int] = None) -> Tuple[int, int]:
-    """The ``processes × cell_threads`` split a sweep actually runs with.
-
-    Processes follow :func:`effective_workers`; the per-group thread
-    count is clamped to at least 1 (``None``/0 mean sequential cell
-    replay). Sweep meta records both halves plus their product.
-    """
-    return (effective_workers(workers, tasks),
-            max(1, int(cell_threads or 1)))
-
-
 def run_group(task: GroupTask) -> List[Dict]:
     """Run one (workload, thp) group across its environments.
 
@@ -224,14 +196,9 @@ def run_group(task: GroupTask) -> List[Dict]:
     machine build fails that environment's cells). A requested design no
     swept environment provides yields an error cell instead of being
     silently dropped. Module-level so the process pool can pickle it.
-
-    With ``cell_threads > 1`` in the task, the group's cells replay on
-    the two-level executor: prepares stay sequential on this thread,
-    threadable (native-kernel) executions fan out over a
-    ``ThreadPoolExecutor`` — bit-identical to sequential replay.
     """
     (envs, workload, thp, designs, config_kwargs, trace_path,
-     artifact_dir, cell_threads) = task
+     artifact_dir) = task
     if trace_path:
         obs_trace.enable(trace_path)
     artifacts = ArtifactCache(artifact_dir) if artifact_dir else None
@@ -246,10 +213,8 @@ def run_group(task: GroupTask) -> List[Dict]:
         env_cls = ENVIRONMENTS.get(env)
         if env_cls is not None:
             provided.update(env_cls.designs)
-    with _cell_pool(cell_threads) as executor, \
-            obs_trace.span("sweep.run_group", envs="+".join(envs),
-                           workload=workload, thp=thp,
-                           cell_threads=cell_threads):
+    with obs_trace.span("sweep.run_group", envs="+".join(envs),
+                        workload=workload, thp=thp):
         for env in envs:
             try:
                 config = SimConfig(thp=thp, **config_kwargs)
@@ -267,7 +232,7 @@ def run_group(task: GroupTask) -> List[Dict]:
             requested = [d for d in (designs or available)
                          if d in available]
             cells.extend(_run_env_cells(sim, env, workload, thp, requested,
-                                        build_seconds, executor))
+                                        build_seconds))
     for design in designs or ():
         if design not in provided:
             exc = KeyError(f"unknown design {design!r}; no swept "
@@ -311,78 +276,23 @@ def _cell_record(sim, env: str, workload: str, thp: bool, design: str,
     }
 
 
-def _cell_pool(cell_threads: int):
-    """The per-group replay thread pool, or a null context yielding
-    None when cells replay sequentially."""
-    if cell_threads > 1:
-        return ThreadPoolExecutor(max_workers=cell_threads,
-                                  thread_name_prefix="cell")
-    return contextlib.nullcontext()
-
-
-def replay_cells(sim, designs: Sequence[str],
-                 executor: Optional[ThreadPoolExecutor] = None
-                 ) -> List[Tuple[str, Optional[WalkStats], Optional[Exception],
-                            float]]:
-    """Replay every design's cell on one machine, in design order.
-
-    The one loop of the two-level executor (DESIGN.md §15). Without
-    an ``executor`` each cell is ``sim.run(design)`` — prepare, execute
-    and commit inline. With one, each cell is prepared in order on this
-    thread; a threadable cell's execution goes to the pool while later
-    cells prepare, every other cell completes inline at its position,
-    and all cells commit back on this thread in design order — same
-    cells, same bits.
-
-    Returns ``(design, stats, error, seconds)`` per design: a cell that
-    raised carries its exception instead of stats, and ``seconds`` is
-    its wall time from the start of its prepare to its commit.
-    """
-    staged = []
-    for design in designs:
-        start = time.perf_counter()
-        cell = future = stats = error = None
-        try:
-            if executor is None:
-                stats = sim.run(design)
-            else:
-                cell = sim.prepare_run(design, threaded=True)
-                if cell.threadable:
-                    future = executor.submit(cell.execute)
-                else:
-                    stats = cell.commit(cell.execute())
-        except Exception as caught:
-            error = caught
-        staged.append((design, cell, future, stats, error, start,
-                       time.perf_counter()))
-    outcomes = []
-    for design, cell, future, stats, error, start, end in staged:
-        if future is not None:
-            try:
-                stats = cell.commit(future.result())
-            except Exception as caught:
-                error = caught
-            end = time.perf_counter()
-        outcomes.append((design, stats, error, end - start))
-    return outcomes
-
-
 def _run_env_cells(sim, env: str, workload: str, thp: bool,
-                   requested: List[str], build_seconds: float,
-                   executor: Optional[ThreadPoolExecutor] = None
-                   ) -> List[Dict]:
-    """Replay every requested design on one built machine.
+                   requested: List[str], build_seconds: float) -> List[Dict]:
+    """Replay every requested design on one built machine, in order.
 
-    Cells come from :func:`replay_cells`; a cell that raised becomes
-    an error cell while the others still report.
+    Each cell is ``sim.run(design)``; a cell that raised becomes an
+    error cell while the others still report.
     """
     env_cells: List[Dict] = []
     latency: Dict[str, float] = {}
-    for design, stats, error, seconds in replay_cells(sim, requested,
-                                                      executor):
-        if error is not None:
+    for design in requested:
+        start = time.perf_counter()
+        try:
+            stats = sim.run(design)
+        except Exception as error:
             env_cells.append(error_cell(env, workload, thp, design, error))
             continue
+        seconds = time.perf_counter() - start
         latency[design] = stats.mean_latency
         env_cells.append(_cell_record(sim, env, workload, thp, design,
                                       stats, seconds, build_seconds))
@@ -396,32 +306,12 @@ def _run_env_cells(sim, env: str, workload: str, thp: bool,
     return env_cells
 
 
-def run_design_stats(sim, designs: Sequence[str],
-                     cell_threads: int = 1) -> Dict:
-    """``{design: WalkStats}`` on one machine, optionally thread-parallel.
-
-    The single-machine twin of the sweep's two-level executor, used by
-    ``python -m repro run --cell-threads``. The first failing cell's
-    exception propagates (no error cells — the CLI reports the
-    failure). Bit-identical to calling ``sim.run`` per design.
-    """
-    with _cell_pool(max(1, int(cell_threads or 1))) as executor:
-        outcomes = replay_cells(sim, list(designs), executor)
-    stats: Dict = {}
-    for design, cell_stats, error, _seconds in outcomes:
-        if error is not None:
-            raise error
-        stats[design] = cell_stats
-    return stats
-
-
 def grid_tasks(envs: Sequence[str],
                workloads: Optional[Sequence[str]] = None,
                designs: Optional[Sequence[str]] = None,
                thp_modes: Sequence[bool] = (False,),
                trace_path: Optional[str] = None,
                artifact_dir: Optional[str] = None,
-               cell_threads: int = 1,
                **config_kwargs) -> List[GroupTask]:
     """Enumerate the group tasks of a sweep.
 
@@ -430,17 +320,14 @@ def grid_tasks(envs: Sequence[str],
     ``trace_path`` set, each task carries the span-stream destination so
     pool workers append to the shared JSONL file; with ``artifact_dir``
     set, each worker's stage-0/1 results persist to (and load from) the
-    shared cross-run artifact cache. ``cell_threads`` sizes the
-    per-group replay thread pool (1 = sequential).
+    shared cross-run artifact cache.
     """
     names = list(workloads or ALL_WORKLOADS)
     wanted = tuple(designs) if designs else None
     env_tuple = tuple(envs)
-    threads = max(1, int(cell_threads or 1))
     return [GroupTask(envs=env_tuple, workload=workload, thp=thp,
                       designs=wanted, config=dict(config_kwargs),
-                      trace_path=trace_path, artifact_dir=artifact_dir,
-                      cell_threads=threads)
+                      trace_path=trace_path, artifact_dir=artifact_dir)
             for workload in names for thp in thp_modes]
 
 
@@ -460,7 +347,6 @@ def run_sweep(envs: Sequence[str] = ("native",),
               trace_path: Optional[str] = None,
               artifact_dir: Optional[str] = None,
               resume_dir: Optional[str] = None,
-              cell_threads: Optional[int] = None,
               **config_kwargs) -> Dict:
     """Run the grid, fanning groups across ``workers`` processes.
 
@@ -486,12 +372,6 @@ def run_sweep(envs: Sequence[str] = ("native",),
     journal re-running only missing groups, and dead pool workers are
     retried with backoff (DESIGN.md §14).
 
-    ``cell_threads`` adds the second parallelism level: each group's
-    worker replays its independent (env, design) cells on that many
-    threads (DESIGN.md §15). ``meta.parallelism`` records the resulting
-    ``processes × cell_threads`` product. Results are bit-identical to
-    ``cell_threads=1``.
-
     Returns the JSON-ready document ``{"meta": ..., "cells": [...]}``
     and writes it to ``out_path`` when given (atomic tmp + rename). An
     interrupted sweep (Ctrl-C, fatal error) still flushes the cells
@@ -508,14 +388,13 @@ def run_sweep(envs: Sequence[str] = ("native",),
             resume_dir, envs=envs, workloads=workloads, designs=designs,
             thp_modes=thp_modes, workers=workers, out_path=out_path,
             progress=progress, trace_path=trace_path,
-            artifact_dir=artifact_dir, cell_threads=cell_threads,
-            **config_kwargs)
+            artifact_dir=artifact_dir, **config_kwargs)
     tasks = grid_tasks(envs, workloads, designs, thp_modes,
                        trace_path=trace_path, artifact_dir=artifact_dir,
-                       cell_threads=cell_threads or 1, **config_kwargs)
+                       **config_kwargs)
     if workers is None:
         workers = os.cpu_count() or 1
-    pool_size, threads = effective_split(workers, len(tasks), cell_threads)
+    pool_size = effective_workers(workers, len(tasks))
     notify = progress or (lambda message: None)
 
     # Parent-side progress counters; pool workers count in their own
@@ -544,8 +423,6 @@ def run_sweep(envs: Sequence[str] = ("native",),
             "config": dict(config_kwargs),
             "workers": pool_size,
             "requested_workers": workers,
-            "cell_threads": threads,
-            "parallelism": pool_size * threads,
             "groups": len(tasks),
             "cells": len(cells),
             "wall_seconds": time.time() - started,

@@ -8,16 +8,13 @@ replacement, following the :mod:`repro.sim.tlb_vec` pattern:
 
 1. **Planning** (NumPy + one pass): every stage-2 statistic depends
    only on the miss's 4 KB VPN, and the translation structures are
-   static during a replay — so :func:`plan_replay` plans each *unique*
+   static during a replay — so :func:`_plan_replay` plans each *unique*
    VPN once, in first-occurrence order (:func:`first_occurrence`). A
    :class:`Plan` precomputes the walk chain's PTE fetch addresses, the
    PWC fill keys/values, and (for DMT) the exact fetch groups the
    register file would issue, captured by running the real
    :class:`~repro.core.fetcher.DMTFetcher` with a recording callback.
-   Plans are flat columns of Python ints indexed by plan row — exactly
-   the plan arguments of the native chunk kernels
-   (:mod:`repro.sim.kernels`), which take the same plan through
-   ``np.asarray``.
+   Plans are flat columns of Python ints indexed by plan row.
 2. **Chunked state machine**: the sequential, history-dependent state —
    PTE-cache LRU sets, PWC/nested-PWC LRU tables, credit-counter
    thinning — runs in a tight chunked loop over the live flat dicts
@@ -51,7 +48,7 @@ episodes bit-for-bit;
 
 :func:`unsupported_reason` names why a walker cannot batch (sanitized
 run or missing spec); the stage-2 dispatch
-(:func:`repro.sim.simulator.prepare_replay`) then runs the scalar loop
+(:func:`repro.sim.simulator.replay_walks`) then runs the scalar loop
 and records it as ``WalkStats.fallback_reason`` instead of silently
 reporting a scalar replay.
 
@@ -65,7 +62,6 @@ which is the order the scalar loop would have touched them.
 from __future__ import annotations
 
 import gc
-import threading
 from contextlib import contextmanager
 from typing import Callable, List, NamedTuple, Optional, Tuple
 
@@ -83,6 +79,7 @@ from repro.arch import (
 )
 from repro.hw.pwc import cwc_key
 from repro.kernel.page_table import PTE_HUGE, PTE_PRESENT, pte_frame
+from repro.obs import trace as obs_trace
 from repro.translation.base import BatchSpec, MemorySubsystem, Walker
 
 #: Misses processed per chunk; bounds the transient Python-list
@@ -120,40 +117,23 @@ def unsupported_reason(walker: Walker) -> Optional[str]:
 
 
 # --------------------------------------------------------------------- #
-# The shared planning entry (both batched engines)
+# Planning
 # --------------------------------------------------------------------- #
 
-# ``gc.disable`` is process-global, so concurrent cell replays refcount
-# it: the first replay in pauses collection, the last one out restores
-# whatever the outermost caller had.
-_GC_LOCK = threading.Lock()
-_GC_DEPTH = 0
-_GC_REENABLE = False
-
-
 @contextmanager
-def gc_paused():
-    """Pause the cyclic GC for a block; refcounted across threads.
+def _gc_paused():
+    """Pause the cyclic GC for a block, then restore the caller's setting.
 
     Planning and replay allocate at a small bounded rate, so pausing
-    the collector costs nothing semantically. Both batched engines
-    take this one guard, so a vec cell finishing on one thread never
-    re-enables collection under a native cell running on another.
+    the collector costs nothing semantically.
     """
-    global _GC_DEPTH, _GC_REENABLE
-    with _GC_LOCK:
-        if _GC_DEPTH == 0:
-            _GC_REENABLE = gc.isenabled()
-            if _GC_REENABLE:
-                gc.disable()
-        _GC_DEPTH += 1
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         yield
     finally:
-        with _GC_LOCK:
-            _GC_DEPTH -= 1
-            if _GC_DEPTH == 0 and _GC_REENABLE:
-                gc.enable()
+        if enabled:
+            gc.enable()
 
 
 def first_occurrence(vpns: np.ndarray) -> Tuple[List[int], np.ndarray]:
@@ -174,13 +154,11 @@ def first_occurrence(vpns: np.ndarray) -> Tuple[List[int], np.ndarray]:
 
 
 class Plan(NamedTuple):
-    """One cell's plan, in the flat column layout both engines read.
+    """One cell's plan, in the flat column layout the runners read.
 
-    ``cols`` holds exactly the plan arguments of the kind's chunk kernel
-    (:mod:`repro.sim.kernels`), as Python int lists indexed by plan row
-    (see :func:`first_occurrence`) or by the offsets those rows hold;
-    the native engine wraps them with ``np.asarray`` and the vec runners
-    index them directly.
+    ``cols`` holds the kind's plan columns as Python int lists indexed
+    by plan row (see :func:`first_occurrence`) or by the offsets those
+    rows hold; the runners index them directly.
     """
 
     spec: BatchSpec
@@ -200,14 +178,14 @@ class Plan(NamedTuple):
         return self.spec.kind
 
 
-def plan_replay(walker: Walker, uniq_vpns: List[int]) -> Plan:
+def _plan_replay(walker: Walker, uniq_vpns: List[int]) -> Plan:
     """Plan ``walker``'s replay over ``uniq_vpns`` (first-occurrence order).
 
-    The one planning entry for both batched engines: it picks the PWC
+    The one planning entry of the batched engine: it picks the PWC
     and its depth, runs DMT's second pass over only the VPNs whose
     register attempt fell back, and interleaves ASAP's prefetch plan
     before each VPN's chain, so lazy first-touch side effects happen in
-    the scalar loop's order (DESIGN.md §15).
+    the scalar loop's order (DESIGN.md §8).
     """
     spec = walker.batch_spec()
     memsys = walker.memsys
@@ -1061,8 +1039,9 @@ def _make_pwc_probe(view) -> Tuple[Callable[[int], int], Callable[[], None]]:
     ``_LRUTable.get``) resumes the walk at chain index ``o + 1``; a full
     miss starts at index 0 (the root). The cached table *address* is not
     needed — plans precompute every chain address from the static table.
-    Also returns ``(order, accept, credit, counters)`` so the native
-    chunk runner can inline the same probe over the same shared state.
+    Also returns ``(order, accept, credit, counters)`` so the fused
+    radix-native chunk runner can inline the same probe over the same
+    shared state.
     """
     accept = view.accept
     credit = view.credit
@@ -1762,50 +1741,55 @@ def replay_walks_vec(
         return stats
     vpns = vas >> PAGE_SHIFT
 
-    with gc_paused():
-        uniq_ordered, pidx = first_occurrence(vpns)
-        plan = plan_replay(walker, uniq_ordered)
-        access, access_fin, access_ctx = _make_access(memsys.caches)
-        finalizers: List[Callable[[], None]] = [access_fin]
-        run, run_many = _make_runner(walker, plan, access, access_ctx,
-                                     finalizers)
+    with _gc_paused():
+        with obs_trace.span("stage2.plan") as sp:
+            uniq_ordered, pidx = first_occurrence(vpns)
+            plan = _plan_replay(walker, uniq_ordered)
+            if sp is not None:
+                sp["kind"] = plan.kind
+                sp["rows"] = len(uniq_ordered)
+        with obs_trace.span("stage2.execute", misses=total):
+            access, access_fin, access_ctx = _make_access(memsys.caches)
+            finalizers: List[Callable[[], None]] = [access_fin]
+            run, run_many = _make_runner(walker, plan, access, access_ctx,
+                                         finalizers)
 
-        warmup = int(total * warmup_fraction)
-        warm_cycles = 0
-        warm_fallbacks = 0
-        walks = measured_cycles = refs = fallbacks = 0
-        # Chunks reach the runners as memoryviews of the ndarray slices
-        # — zero-copy (no Python-list materialization), yet iteration
-        # yields native ints, so the runners' dict lookups and shifts
-        # skip np.int64 scalar overhead (~25% on the radix fast path).
-        for lo, hi in ((0, warmup), (warmup, total)):
-            measured = lo == warmup
-            for start in range(lo, hi, chunk):
-                stop = min(start + chunk, hi)
-                chunk_vpns = memoryview(vpns[start:stop])
-                chunk_rows = memoryview(pidx[start:stop])
-                if run_many is not None:
-                    cycles, nrefs = run_many(chunk_vpns, chunk_rows)
-                    if measured:
-                        walks += stop - start
-                        measured_cycles += cycles
-                        refs += nrefs
+            warmup = int(total * warmup_fraction)
+            warm_cycles = 0
+            warm_fallbacks = 0
+            walks = measured_cycles = refs = fallbacks = 0
+            # Chunks reach the runners as memoryviews of the ndarray slices
+            # — zero-copy (no Python-list materialization), yet iteration
+            # yields native ints, so the runners' dict lookups and shifts
+            # skip np.int64 scalar overhead (~25% on the radix fast path).
+            for lo, hi in ((0, warmup), (warmup, total)):
+                measured = lo == warmup
+                for start in range(lo, hi, chunk):
+                    stop = min(start + chunk, hi)
+                    chunk_vpns = memoryview(vpns[start:stop])
+                    chunk_rows = memoryview(pidx[start:stop])
+                    if run_many is not None:
+                        cycles, nrefs = run_many(chunk_vpns, chunk_rows)
+                        if measured:
+                            walks += stop - start
+                            measured_cycles += cycles
+                            refs += nrefs
+                        else:
+                            warm_cycles += cycles
+                    elif not measured:
+                        for vpn, p in zip(chunk_vpns, chunk_rows):
+                            cycles, _nrefs, fell_back = run(vpn, p)
+                            warm_cycles += cycles
+                            if fell_back:
+                                warm_fallbacks += 1
                     else:
-                        warm_cycles += cycles
-                elif not measured:
-                    for vpn, p in zip(chunk_vpns, chunk_rows):
-                        cycles, _nrefs, fell_back = run(vpn, p)
-                        warm_cycles += cycles
-                        if fell_back:
-                            warm_fallbacks += 1
-                else:
-                    for vpn, p in zip(chunk_vpns, chunk_rows):
-                        cycles, nrefs, fell_back = run(vpn, p)
-                        walks += 1
-                        measured_cycles += cycles
-                        refs += nrefs
-                        if fell_back:
-                            fallbacks += 1
+                        for vpn, p in zip(chunk_vpns, chunk_rows):
+                            cycles, nrefs, fell_back = run(vpn, p)
+                            walks += 1
+                            measured_cycles += cycles
+                            refs += nrefs
+                            if fell_back:
+                                fallbacks += 1
 
     stats.walks = walks
     stats.total_cycles = measured_cycles

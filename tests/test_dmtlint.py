@@ -19,17 +19,9 @@ EXPECTED = {
     "set_iteration_bug.py": {"L203"},
     "uncited_cost_bug.py": {"L301"},
     "unreferenced_vec_bug.py": {"L401"},
-    "undeclared_kernel_bug.py": {"L402"},
     "domain_mix_bug.py": {"L501"},
     "domain_call_bug.py": {"L502"},
     "domain_return_bug.py": {"L503"},
-    "kernel_dict_bug.py": {"L601"},
-    "kernel_closure_bug.py": {"L602"},
-    "kernel_splat_bug.py": {"L603"},
-    "kernel_format_bug.py": {"L604"},
-    "kernel_list_bug.py": {"L605"},
-    "kernel_raise_bug.py": {"L606"},
-    "kernel_call_bug.py": {"L607"},
     "stream_materialize_bug.py": {"L701", "L702"},
 }
 
@@ -57,14 +49,6 @@ def test_l401_names_the_untested_function():
     violations = lint_paths([STATIC / "unreferenced_vec_bug.py"])
     assert [v.rule for v in violations] == ["L401"]
     assert name in violations[0].message
-
-
-def test_l402_requires_declared_oracle():
-    # the kernels scope implies vec, so both L401 and L402 are in play;
-    # naming distilled_probe_kernel here keeps it in the L401 corpus
-    violations = lint_paths([STATIC / "undeclared_kernel_bug.py"])
-    assert [v.rule for v in violations] == ["L402"]
-    assert "distilled_probe_kernel" in violations[0].message
 
 
 def test_l7_needs_streaming_scope():
@@ -199,24 +183,6 @@ def test_l501_waivable_with_targeted_ignore():
     source = "def f(vpn, cycles):\n" \
              "    return vpn + cycles  # dmtlint: ignore[L501]\n"
     assert not lint_file(Path("inline.py"), source=source)
-
-
-def test_l6_flags_dict_kernel_without_numba(tmp_path):
-    # acceptance criterion: a kernel edited to use a dict is flagged
-    # statically, numba not required
-    kernels = tmp_path / "sim" / "kernels"
-    kernels.mkdir(parents=True)
-    kernel = kernels / "broken.py"
-    kernel.write_text(
-        "from repro.sim.kernels.backend import jit\n\n\n"
-        "@jit\ndef _lut(keys, n):\n"
-        "    table = {}\n"
-        "    for i in range(n):\n"
-        "        table[keys[i]] = i\n"
-        "    return table\n",
-        encoding="utf-8",
-    )
-    assert rules_of(kernel) == {"L601"}
 
 
 # --------------------------------------------------------------------- #

@@ -143,15 +143,7 @@ class TestJobSpec:
         shard = spec.shards()[0]
         task = spec.task(shard, "t.jsonl", "cache")
         assert task == (("native",), "GUPS", False, ("vanilla", "dmt"),
-                        CONFIG, "t.jsonl", "cache", 1)
-
-    def test_task_cell_threads_is_runtime_only(self):
-        """cell_threads rides in the task tuple but never the job_id."""
-        spec = small_spec()
-        shard = spec.shards()[0]
-        assert spec.task(shard, None, None, cell_threads=4)[7] == 4
-        assert spec.task(shard, None, None, cell_threads=0)[7] == 1
-        assert "cell_threads" not in json.dumps(spec.canonical())
+                        CONFIG, "t.jsonl", "cache")
 
 
 # --------------------------------------------------------------------- #

@@ -179,3 +179,21 @@ class TestCLI:
     def test_sweep_rejects_unknown_env(self, capsys):
         from repro.__main__ import main
         assert main(["sweep", "--env", "marsbase", "--workers", "1"]) == 2
+
+    def test_cell_threads_accepted_only_as_one(self, capsys, tmp_path):
+        """Benchmark command lines still pass ``--cell-threads 1``; any
+        other value, and the flag on ``run``, exits 2."""
+        from repro.__main__ import main
+        for command in (["sweep"], ["jobs", "submit"]):
+            with pytest.raises(SystemExit) as refused:
+                main([*command, "--cell-threads", "4"])
+            assert refused.value.code == 2
+            assert "--cell-threads was removed" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as refused:
+            main(["run", "--cell-threads", "1"])
+        assert refused.value.code == 2
+        assert main(["sweep", "--env", "native", "--workloads", "GUPS",
+                     "--designs", "vanilla", "--nrefs", "1500",
+                     "--scale", "8192", "--workers", "1",
+                     "--cell-threads", "1", "--no-artifact-cache",
+                     "--out", str(tmp_path / "sweep.json")]) == 0

@@ -1,19 +1,16 @@
-"""Oracle parity for the batched and native stage-2 replay engines.
+"""Oracle parity for the batched stage-2 replay engine.
 
-``walk_vec.replay_walks_vec`` and ``kernels.prepare_replay_native``
-must be bit-identical to the scalar ``replay_walks_scalar`` oracle:
-same :class:`WalkStats`, same walker/fetcher counters, and the same
-memory-subsystem state (cache sets + LRU order, PWC tables + thinning
-credits, the ECPT cuckoo-walk cache) after the replay. The parity cases
-call each engine directly (the ``ENGINES`` parametrization); on the
-native engine the same assertions hold whichever kernel backend (numba
-or pure Python) is active. Neither batched engine collects the Figure 16
-step breakdown: that is the oracle's job, pinned by
+``walk_vec.replay_walks_vec`` must be bit-identical to the scalar
+``replay_walks_scalar`` oracle: same :class:`WalkStats`, same
+walker/fetcher counters, and the same memory-subsystem state (cache
+sets + LRU order, PWC tables + thinning credits, the ECPT cuckoo-walk
+cache) after the replay. The batched engine does not collect the
+Figure 16 step breakdown: that is the oracle's job, pinned by
 ``test_fig16_step_breakdown_comes_from_the_oracle``. The stage-2
-dispatch (``replay_walks``/``prepare_replay``) derives the engine by one
-rule, pinned at the end of this module: scalar with a recorded reason
-under the sanitizer, for step collection or when a walker has no batch
-spec; native when the compiled backend loaded; vec otherwise.
+dispatch (``replay_walks``) derives the engine by one rule, pinned at
+the end of this module: scalar with a recorded reason under the
+sanitizer, for step collection or when a walker has no batch spec; vec
+otherwise.
 """
 
 from dataclasses import replace
@@ -23,26 +20,18 @@ import pytest
 
 from repro.core.registers import RegisterSet
 from repro.hw.config import xeon_gold_6138
-from repro.sim.kernels import HAVE_NUMBA, prepare_replay_native
 from repro.sim.machine import ENVIRONMENTS, SimConfig
 from repro.sim.simulator import (
-    STEP_COLLECTION_REASON,
     Stage1Cache,
-    prepare_replay,
     replay_walks,
     replay_walks_scalar,
 )
 from repro.sim.sweep import GroupTask, run_group
 from repro.sim.walk_vec import replay_walks_vec, unsupported_reason
 
-#: Both batched stage-2 engines; the parity suite runs each against the
-#: scalar oracle.
-ENGINES = ("vec", "native")
-
-#: What the stage-2 dispatch resolves a batchable walker to in this
-#: process: the native kernels when the compiled backend imported, else
-#: the vec engine.
-RESOLVED_ENGINE = "native" if HAVE_NUMBA else "vec"
+#: The batched stage-2 engine the parity suite runs against the scalar
+#: oracle; each case id names it.
+ENGINES = ("vec",)
 
 #: Every (environment, design) pair the batched engine vectorizes —
 #: since the ECPT/FPT/Agile/ASAP planners landed, that is the full
@@ -134,10 +123,7 @@ def _design_state(walker):
 
 def _assert_parity(walker_scalar, walker_vec, miss_vas, engine="vec"):
     stats_scalar = replay_walks_scalar(walker_scalar, miss_vas)
-    if engine == "native":
-        stats_vec = prepare_replay_native(walker_vec, miss_vas).execute()
-    else:
-        stats_vec = replay_walks_vec(walker_vec, miss_vas)
+    stats_vec = replay_walks_vec(walker_vec, miss_vas)
     assert stats_scalar.engine == "scalar" and stats_vec.engine == engine
     assert stats_scalar == stats_vec
     assert _walker_counters(walker_scalar) == _walker_counters(walker_vec)
@@ -243,58 +229,6 @@ def test_auto_engine_falls_back_to_scalar():
         sanitizer.reset()
 
 
-def test_auto_engine_prefers_native_when_compiled(monkeypatch):
-    """With the compiled backend loaded the dispatch plans the native
-    kernels at prepare time and marks the cell threadable. Forcing the
-    backend flag exercises that branch on any install (the uncompiled
-    kernels are the same source), bit-identically to the oracle."""
-    monkeypatch.setattr("repro.sim.kernels.HAVE_NUMBA", True)
-    walker_scalar, walker_native, miss_vas = _build_pair(
-        "native", "ecpt", _config())
-    execute, threadable = prepare_replay(walker_native, miss_vas)
-    assert threadable
-    stats = execute()
-    assert stats.engine == "native"
-    assert stats == replay_walks_scalar(walker_scalar, miss_vas)
-    assert _memsys_state(walker_scalar) == _memsys_state(walker_native)
-
-
-def test_explicit_native_records_backend_fallback_reason():
-    """The native engine called directly always runs the kernels; when
-    numba is absent the stats must say the uncompiled backend ran
-    (never silently masquerade as the compiled engine)."""
-    from repro.sim.kernels import UNAVAILABLE_REASON
-
-    sim = ENVIRONMENTS["native"]("GUPS", _config())
-    stats = prepare_replay_native(sim.walker("vanilla"),
-                                  sim.tlb.miss_vas[:64]).execute()
-    assert stats.engine == "native"
-    if HAVE_NUMBA:
-        assert stats.fallback_reason is None
-    else:
-        assert stats.fallback_reason == UNAVAILABLE_REASON
-        assert "numba" in stats.fallback_reason
-
-
-def test_native_step_collection_delegates_to_scalar(monkeypatch):
-    """Only the oracle records per-step latencies, so the dispatch
-    resolves step collection to the scalar loop even with the compiled
-    backend loaded, and records why."""
-    monkeypatch.setattr("repro.sim.kernels.HAVE_NUMBA", True)
-    walker_oracle, walker, miss_vas = _build_pair(
-        "native", "vanilla", _config())
-    stats_oracle = replay_walks_scalar(walker_oracle, miss_vas,
-                                       collect_steps=True)
-    execute, threadable = prepare_replay(walker, miss_vas,
-                                         collect_steps=True)
-    assert not threadable
-    stats = execute()
-    assert stats.engine == "scalar"
-    assert stats.fallback_reason == STEP_COLLECTION_REASON
-    assert stats == stats_oracle and stats.step_breakdown()
-    assert _memsys_state(walker_oracle) == _memsys_state(walker)
-
-
 @pytest.mark.parametrize("thp", [False, True], ids=["4KB", "THP"])
 def test_fig16_step_breakdown_comes_from_the_oracle(thp):
     """Figure 16's one cell, scaled down: a step-collecting run reports
@@ -313,43 +247,34 @@ def test_fig16_step_breakdown_comes_from_the_oracle(thp):
 
 
 def test_replay_rejects_unknown_engine():
-    """The engine is derived, never chosen: the stage-2 entry points
-    take no ``engine`` argument at all."""
+    """The engine is derived, never chosen: the stage-2 entry point
+    takes no ``engine`` argument at all."""
     sim = ENVIRONMENTS["native"]("GUPS", _config())
-    for entry in (replay_walks, prepare_replay):
-        with pytest.raises(TypeError, match="engine"):
-            entry(sim.walker("vanilla"), sim.tlb.miss_vas[:8],
-                  engine="vec")
+    with pytest.raises(TypeError, match="engine"):
+        replay_walks(sim.walker("vanilla"), sim.tlb.miss_vas[:8],
+                     engine="vec")
 
 
 @pytest.mark.parametrize("case", ["python-backend", "sanitizer",
-                                  "step-collection", "compiled"])
+                                  "step-collection"])
 def test_engine_resolution_rule(case):
-    """The one resolution rule, on this process's real backend: vec on
-    the numpy-only backend, scalar plus the reason under the sanitizer
-    or for step collection, native (threadable) when the compiled
-    backend loaded."""
+    """The one resolution rule: vec for a batchable walker on the python
+    backend, scalar plus the reason under the sanitizer or for step
+    collection."""
     from repro.analysis import sanitizer
 
-    if case == "python-backend" and HAVE_NUMBA:
-        pytest.skip("numba is installed: batchable cells resolve native")
-    if case == "compiled" and not HAVE_NUMBA:
-        pytest.skip("numba is not installed")
     try:
         sim = (_sanitized_native_sim() if case == "sanitizer"
                else ENVIRONMENTS["native"]("GUPS", _config()))
-        execute, threadable = prepare_replay(
-            sim.walker("dmt"), sim.tlb.miss_vas[:64],
-            collect_steps=case == "step-collection")
-        stats = execute()
+        stats = replay_walks(sim.walker("dmt"), sim.tlb.miss_vas[:64],
+                             collect_steps=case == "step-collection")
     finally:
         sanitizer.reset()
-    expected = {"python-backend": ("vec", False, None),
-                "sanitizer": ("scalar", False, "sanitizer"),
-                "step-collection": ("scalar", False, "step collection"),
-                "compiled": ("native", True, None)}[case]
-    engine, want_threadable, reason = expected
-    assert (stats.engine, threadable) == (engine, want_threadable)
+    expected = {"python-backend": ("vec", None),
+                "sanitizer": ("scalar", "sanitizer"),
+                "step-collection": ("scalar", "step collection")}[case]
+    engine, reason = expected
+    assert stats.engine == engine
     if reason is None:
         assert stats.fallback_reason is None
     else:
@@ -380,8 +305,9 @@ def test_run_group_reports_stage1_reuse_telemetry(tmp_path):
     assert [cell["stage1_reused"] for cell in cells] == [False, True]
     assert [cell["stage1_source"] for cell in cells] == ["computed", "memo"]
     assert cells[0]["stage1_seconds"] == cells[1]["stage1_seconds"] > 0.0
-    assert all(cell["walk_engine"] == RESOLVED_ENGINE for cell in cells)
+    assert all(cell["walk_engine"] == "vec" for cell in cells)
     assert all(cell["stage2_fallback_reason"] is None for cell in cells)
+    assert all(cell["group_seconds"] > 0.0 for cell in cells)
     # A rerun of the group (fresh Stage1Cache, as in a new worker or a
     # new process) serves stage 1 from the on-disk artifact cache.
     warm = run_group(task)
@@ -412,77 +338,3 @@ def test_first_occurrence_rows_follow_first_touch():
     assert uniq == list(dict.fromkeys(vpns.tolist()))
     assert pidx.dtype == np.int64
     assert [uniq[p] for p in pidx.tolist()] == vpns.tolist()
-
-
-def test_both_engines_plan_through_one_entry(monkeypatch):
-    """The vec and native engines take every batch-spec kind's plan from
-    ``plan_replay``, so a design's plan layout is written once."""
-    from repro.sim import walk_vec
-
-    kinds = {"vec": [], "native": []}
-    engine = ["vec"]
-    plan_replay = walk_vec.plan_replay
-
-    def recording(walker, uniq_vpns):
-        plan = plan_replay(walker, uniq_vpns)
-        kinds[engine[0]].append(plan.kind)
-        return plan
-
-    monkeypatch.setattr(walk_vec, "plan_replay", recording)
-    config = _config()
-    for env in ("native", "virt"):
-        designs = [d for e, d in SUPPORTED if e == env]
-        sims = {name: ENVIRONMENTS[env]("GUPS", config)
-                for name in ("vec", "native")}
-        for design in designs:
-            engine[0] = "vec"
-            replay_walks_vec(sims["vec"].walker(design),
-                             sims["vec"].tlb.miss_vas[:64])
-            engine[0] = "native"
-            prepare_replay_native(sims["native"].walker(design),
-                                  sims["native"].tlb.miss_vas[:64])
-    assert kinds["vec"] == kinds["native"]
-    assert set(kinds["vec"]) == {
-        "radix-native", "radix-nested", "dmt", "ecpt-native", "ecpt-nested",
-        "fpt-native", "fpt-nested", "agile", "asap-native", "asap-nested"}
-
-
-def test_gc_pause_is_shared_by_both_engines(monkeypatch):
-    """One refcounted guard: a vec replay that ends while a native cell
-    executes on another thread must leave collection paused until that
-    cell is done too."""
-    import gc
-    import threading
-
-    from repro.sim import walk_vec
-
-    entered, release = threading.Event(), threading.Event()
-
-    def native_execute():   # PreparedReplay.execute holds the same guard
-        with walk_vec.gc_paused():
-            entered.set()
-            release.wait(timeout=60)
-
-    worker = threading.Thread(target=native_execute, daemon=True)
-    plan_replay = walk_vec.plan_replay
-
-    def plan_then_start_native(walker, uniq_vpns):
-        worker.start()
-        assert entered.wait(timeout=30)
-        return plan_replay(walker, uniq_vpns)
-
-    monkeypatch.setattr(walk_vec, "plan_replay", plan_then_start_native)
-    sim = ENVIRONMENTS["native"]("GUPS", _config())
-    was_enabled = gc.isenabled()
-    gc.enable()
-    try:
-        replay_walks_vec(sim.walker("vanilla"), sim.tlb.miss_vas[:64])
-        assert not gc.isenabled(), "the vec replay re-enabled collection"
-        release.set()
-        worker.join(timeout=30)
-        assert not worker.is_alive()
-        assert gc.isenabled()
-    finally:
-        release.set()
-        if not was_enabled:
-            gc.disable()
