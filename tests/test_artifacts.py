@@ -8,7 +8,6 @@ artifact, and :class:`~repro.sim.simulator.Stage1Cache` transparently
 extends its memo through the cache to disk.
 """
 
-import hashlib
 import json
 import os
 import subprocess
@@ -266,41 +265,3 @@ def test_stage1_cache_without_artifacts_never_touches_disk(tmp_path):
     assert cache.last_source == "computed"
     assert cache.fetch(("k",), lambda: None) is result
     assert cache.last_source == "memo"
-
-
-_WORKER = """
-import hashlib, sys
-import numpy as np
-from repro.sim.artifacts import ArtifactCache
-
-cache = ArtifactCache(sys.argv[1])
-loaded = cache.load_array("stage1", ["memmap-test"], mmap=True)
-array, _meta = loaded
-assert isinstance(array, np.memmap), type(array)
-assert not array.flags.writeable
-print(hashlib.sha256(array.tobytes()).hexdigest())
-"""
-
-
-def test_memmap_miss_stream_identical_across_workers(tmp_path):
-    """Sweep-worker transfer: the same artifact mapped in independent
-    processes is byte-identical to the stored miss stream."""
-    root = str(tmp_path / "artifacts")
-    cache = ArtifactCache(root)
-    rng = np.random.default_rng(23)
-    miss_vas = rng.integers(0, 1 << 47, 20000).astype(np.int64)
-    cache.store_array("stage1", ["memmap-test"], miss_vas, {})
-    expected = hashlib.sha256(miss_vas.tobytes()).hexdigest()
-
-    digests = []
-    for _ in range(2):
-        out = subprocess.run(
-            [sys.executable, "-c", _WORKER, root],
-            capture_output=True, text=True, check=True)
-        digests.append(out.stdout.strip())
-    assert digests == [expected, expected]
-
-    # and in-process: mmap load is a read-only view of the same bytes
-    array, _meta = cache.load_array("stage1", ["memmap-test"], mmap=True)
-    assert isinstance(array, np.memmap)
-    assert hashlib.sha256(array.tobytes()).hexdigest() == expected

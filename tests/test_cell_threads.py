@@ -5,6 +5,9 @@ cell from disk (zero replays) and emit a byte-identical document;
 corrupted payloads evict and recompute; bumping the cost model version
 invalidates every cached result; the key covers every result-bearing
 config field; a sanitized run bypasses the cache.
+
+The module name is historical: it once also held the cell-thread
+executor tests, and keeps its name so the test ids stay stable.
 """
 
 from __future__ import annotations
